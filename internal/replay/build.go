@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"metascope/internal/cube"
 	"metascope/internal/obs/flight"
@@ -82,48 +81,15 @@ func (a *analyzer) result() (*Result, error) {
 	// linear time and independently of goroutine scheduling. The final
 	// classification is also when the late-sender family's profile
 	// series are fed: only here is the pattern identity of an instance
-	// known.
-	//
-	// The pass runs per rank in parallel: each rank's receive log only
-	// touches that rank's own call-path accumulators, and the profile
-	// deposits target keys that carry the rank — so per-rank profile
-	// accumulators merged in rank order reproduce the sequential
-	// addition sequence bit-for-bit (Merge folds whole series onto
-	// fresh, zero-valued destinations; 0+x is exact). The sequential
-	// loop is kept behind Config.SequentialPostPass as the reference
-	// the determinism tests compare against.
-	if a.cfg.SequentialPostPass || len(a.results) <= 1 {
-		if pw := a.fl.Writer(flight.PostPassActor); pw != nil {
-			pw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
-			defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)
-		}
-		for _, rr := range a.results {
-			a.postPassRank(rr, prof)
-		}
-	} else {
-		rankProfs := make([]*profile.Accumulator, len(a.results))
-		var wg sync.WaitGroup
-		for idx, rr := range a.results {
-			wg.Add(1)
-			go func(idx int, rr *rankResult) {
-				defer wg.Done()
-				if fw := a.fl.Writer(int32(rr.rank)); fw != nil {
-					fw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
-					defer fw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)
-				}
-				rp := profile.NewAccumulator(profCfg)
-				a.postPassRank(rr, rp)
-				rankProfs[idx] = rp
-			}(idx, rr)
-		}
-		wg.Wait()
-		if pw := a.fl.Writer(flight.PostPassActor); pw != nil {
-			pw.Emit(flight.SpanBegin, a.flJob, a.fn.postmerge, 0, 0)
-			defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postmerge, 0, 0)
-		}
-		for _, rp := range rankProfs {
-			prof.Merge(rp)
-		}
+	// known. The pass is one sequential sweep in rank order: a per-rank
+	// parallel variant, merged in rank order, was byte-identical but
+	// no faster on the benchmark workloads and allocated more.
+	if pw := a.fl.Writer(flight.PostPassActor); pw != nil {
+		pw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
+		defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)
+	}
+	for _, rr := range a.results {
+		a.postPassRank(rr, prof)
 	}
 
 	// Sender-side severities detected remotely (Late Receiver). The
@@ -200,10 +166,8 @@ func (a *analyzer) result() (*Result, error) {
 
 // postPassRank classifies one rank's receive log — the suffix-minimum
 // wrong-order test — updating the rank's own call-path accumulators
-// and depositing the late-sender-family profile samples into dst. The
-// deposits are in receive order and every key carries this rank, so
-// running ranks concurrently into per-rank accumulators and merging in
-// rank order equals the sequential interleave exactly.
+// and depositing the late-sender-family profile samples into dst in
+// receive order.
 func (a *analyzer) postPassRank(rr *rankResult, dst *profile.Accumulator) {
 	myMH := a.traces[rr.rank].Loc.Metahost
 	n := len(rr.recvLog)

@@ -24,10 +24,12 @@ const liveLogStride = 1 << 12
 // results: the worker's event order, and therefore every accumulator's
 // addition order, is the trace order either way.
 //
-// Appending and lazy logs store events in fixed-stride blocks, each its
-// own allocation, so releaseBefore can free the already-swept prefix —
-// the bounded-memory window that lets an archive larger than RAM
-// stream through one analysis.
+// Every log stores its events in fixed-stride blocks. Appending and
+// lazy logs give each block its own allocation, so releaseBefore can
+// free the already-swept prefix — the bounded-memory window that lets
+// an archive larger than RAM stream through one analysis. An in-memory
+// trace is one closed block spanning the whole event slice, which the
+// sweep's frontier never passes, so nothing of it is released.
 type rankLog struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -35,12 +37,6 @@ type rankLog struct {
 	aborted bool
 	err     error // lazy decode/validation failure, sticky
 
-	// flat is the post-mortem fast path: the complete, immutable event
-	// slice. When non-nil, blocks/stride are unused and nothing is ever
-	// released (the memory is one allocation the caller owns anyway).
-	flat []trace.Event
-
-	// Block storage (append and lazy modes).
 	blocks [][]trace.Event
 	stride int
 	n      int // events visible to the sweep
@@ -70,10 +66,11 @@ func newRankLog() *rankLog {
 }
 
 // newClosedRankLog wraps an already complete event slice (post-mortem
-// analysis) without copying.
+// analysis) as one block, without copying.
 func newClosedRankLog(events []trace.Event) *rankLog {
 	lg := newRankLog()
-	lg.flat = events
+	lg.blocks = [][]trace.Event{events}
+	lg.stride = max(len(events), 1)
 	lg.n = len(events)
 	lg.resident = len(events)
 	lg.maxResident = len(events)
@@ -175,27 +172,30 @@ func (lg *rankLog) wait(have int) (n int, closed, aborted bool) {
 	return n, closed, aborted
 }
 
-// recvCountIfFlat counts the Recv events when the whole log is present
-// as one materialized slice — the post-mortem fast path, which lets the
-// worker pre-size its receive log. Lazy and live logs return ok=false:
-// counting would force every block resident, defeating the window.
-func (lg *rankLog) recvCountIfFlat() (int, bool) {
+// recvCount counts the Recv events of a closed log whose events are
+// all resident — every post-mortem log, and a live log whose stream
+// ended before its sweep began — which lets the worker pre-size its
+// receive log. Lazy and open logs return ok=false: counting would force
+// undecoded blocks resident, or wait for events still in flight.
+func (lg *rankLog) recvCount() (int, bool) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	if lg.flat == nil || !lg.closed {
+	if !lg.closed || lg.resident != lg.n {
 		return 0, false
 	}
 	nrecv := 0
-	for i := range lg.flat {
-		if lg.flat[i].Kind == trace.KindRecv {
-			nrecv++
+	for _, blk := range lg.blocks {
+		for i := range blk {
+			if blk[i].Kind == trace.KindRecv {
+				nrecv++
+			}
 		}
 	}
 	return nrecv, true
 }
 
 // bounds returns the raw first/last event times the log has seen.
-// Valid for a flat or lazy log immediately, and for a live log once
+// Valid for a closed or lazy log immediately, and for a live log once
 // every chunk was appended; the analyzer reads it after the sweep.
 func (lg *rankLog) bounds() (first, last float64, ok bool) {
 	lg.mu.Lock()
@@ -218,9 +218,6 @@ func (lg *rankLog) residentEvents() (resident, peak int) {
 func (lg *rankLog) window(i int) ([]trace.Event, int, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	if lg.flat != nil {
-		return lg.flat, 0, nil
-	}
 	k := i / lg.stride
 	if lg.lazy != nil {
 		if err := lg.decodeToLocked(k); err != nil {
@@ -300,13 +297,10 @@ func (lg *rankLog) decodeToLocked(k int) error {
 
 // releaseBefore frees every block that lies entirely below event index
 // i. Only the sweeping worker calls it, and only with its own frontier,
-// so no released block can still be referenced. Flat logs ignore it.
+// so no released block can still be referenced.
 func (lg *rankLog) releaseBefore(i int) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	if lg.flat != nil {
-		return
-	}
 	limit := i / lg.stride
 	if limit > len(lg.blocks) {
 		limit = len(lg.blocks)
@@ -332,19 +326,14 @@ type sweepCursor struct {
 	aborted bool
 	err     error // lazy decode failure surfaced through ev
 
-	stride   int
-	canFree  bool // block-structured log: release swept blocks
-	released int  // last block index already released
+	stride int
+	next   int // first event index past the block the frontier is in
 }
 
 func newSweepCursor(lg *rankLog) *sweepCursor {
-	sc := &sweepCursor{lg: lg, stride: lg.stride, base: -1}
+	sc := &sweepCursor{lg: lg, stride: lg.stride, next: lg.stride, base: -1}
 	lg.mu.Lock()
 	sc.n, sc.closed, sc.aborted = lg.n, lg.closed, lg.aborted
-	sc.canFree = lg.flat == nil
-	if lg.flat != nil {
-		sc.blk, sc.base = lg.flat, 0
-	}
 	lg.mu.Unlock()
 	return sc
 }
@@ -380,13 +369,10 @@ func (sc *sweepCursor) ev(i int) *trace.Event {
 
 // release frees the log's blocks below the sweep frontier i. Called
 // once per event; it touches the log only when the frontier crosses a
-// block boundary.
+// block boundary, which a whole-trace block never has.
 func (sc *sweepCursor) release(i int) {
-	if !sc.canFree {
-		return
-	}
-	if k := i / sc.stride; k > sc.released {
-		sc.released = k
+	if i >= sc.next {
+		sc.next = (i/sc.stride + 1) * sc.stride
 		sc.lg.releaseBefore(i)
 	}
 }

@@ -146,8 +146,7 @@ type liveRank struct {
 	mu       sync.Mutex
 	dec      *trace.ChunkDecoder
 	log      *rankLog
-	corr     vclock.LinearMap
-	haveCorr bool
+	corr     vclock.LinearMap // set once the header lands, under Live.mu
 	finished bool
 
 	bytes      atomic.Int64
@@ -176,7 +175,6 @@ type Live struct {
 	mu       sync.Mutex
 	state    string
 	traces   []*trace.Trace
-	builder  *vclock.Builder
 	headers  int
 	started  bool
 	abortErr error
@@ -199,15 +197,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("replay: live session needs a positive rank count, got %d", cfg.Ranks)
 	}
-	if cfg.EagerLimit <= 0 {
-		cfg.EagerLimit = 64 << 10
-	}
-	if cfg.Title == "" {
-		// Match AnalyzeContext's default so the report artifact of a
-		// default-titled live session is byte-identical to the
-		// post-mortem one.
-		cfg.Title = fmt.Sprintf("experiment (%d processes, %v)", cfg.Ranks, cfg.Scheme)
-	}
 	if cfg.WindowSec <= 0 {
 		cfg.WindowSec = 1
 	}
@@ -223,7 +212,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		intern:        trace.NewInterner(),
 		state:         "open",
 		traces:        make([]*trace.Trace, cfg.Ranks),
-		builder:       vclock.NewBuilder(cfg.Scheme, cfg.Ranks),
 		sink:          newStreamSink(0, cfg.WindowSec),
 		runDone:       make(chan struct{}),
 		schedStop:     make(chan struct{}),
@@ -244,28 +232,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "open"}})
 	return l, nil
-}
-
-// rankCorrection derives one rank's clock-correction map from its own
-// trace header under the given scheme — the per-rank ingredient of
-// BuildCorrections, which is what makes incremental synchronization
-// over a prefix of the archive exact rather than approximate.
-func rankCorrection(t *trace.Trace, scheme vclock.Scheme) (vclock.LinearMap, error) {
-	switch scheme {
-	case vclock.FlatSingle, vclock.FlatInterp:
-		return vclock.FlatCorrection(scheme, t.Sync.FlatStart, t.Sync.FlatEnd)
-	case vclock.Hierarchical:
-		return vclock.HierarchicalCorrection(vclock.HierarchicalInput{
-			Rank:            t.Loc.Rank,
-			SlaveStart:      t.Sync.LocalStart,
-			SlaveEnd:        t.Sync.LocalEnd,
-			MasterStart:     t.Sync.MasterStart,
-			MasterEnd:       t.Sync.MasterEnd,
-			SharedNodeClock: t.Sync.SharedNodeClock,
-		}), nil
-	default:
-		return vclock.LinearMap{}, fmt.Errorf("replay: unknown synchronization scheme %v", scheme)
-	}
 }
 
 // sessionErr returns the sticky session failure, if any.
@@ -317,9 +283,10 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 	return nil
 }
 
-// registerHeader installs a rank's completed header: its correction
-// map enters the incremental sync builder, and when the last header
-// lands the analyzer starts sweeping.
+// registerHeader installs a rank's completed header — exactly once per
+// rank, when its decoder first yields one: the rank's correction map is
+// derived from its own sync block, and when the last header lands the
+// analyzer starts sweeping.
 func (l *Live) registerHeader(rank int, lr *liveRank, t *trace.Trace) error {
 	if t.Loc.Rank != rank {
 		return fmt.Errorf("replay: stream for rank %d carries trace of rank %d", rank, t.Loc.Rank)
@@ -330,11 +297,7 @@ func (l *Live) registerHeader(rank int, lr *liveRank, t *trace.Trace) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.builder.Set(rank, corr); err != nil {
-		return err
-	}
 	lr.corr = corr
-	lr.haveCorr = true
 	l.traces[rank] = t
 	l.headers++
 	if l.headers == len(l.ranks) {
@@ -346,26 +309,19 @@ func (l *Live) registerHeader(rank int, lr *liveRank, t *trace.Trace) error {
 // startLocked launches the parallel replay once every header is in.
 // Called with l.mu held.
 func (l *Live) startLocked() error {
-	corrs, err := l.builder.Corrections()
+	corrs := make([]vclock.Correction, len(l.ranks))
+	logs := make([]*rankLog, len(l.ranks))
+	for i, lr := range l.ranks {
+		corrs[i] = vclock.Correction{Rank: i, Map: lr.corr}
+		logs[i] = lr.log
+	}
+	a, err := newAnalyzer(l.traces, corrs, logs, l.cfg.Config)
 	if err != nil {
 		return err
 	}
-	vclock.ObserveCorrections(l.rec, l.cfg.Scheme, corrs)
-	comms, err := mergeComms(l.traces)
-	if err != nil {
-		return err
-	}
-	if err := checkCommCoverage(comms, len(l.traces)); err != nil {
-		return err
-	}
-	a := newAnalyzer(l.traces, corrs, comms, l.cfg.Config)
-	// Swap the closed post-mortem logs for the session's open ones and
-	// attach the live plumbing: the window sink and the progress
+	// Attach the live plumbing: the window sink and the progress
 	// frontier (initialized to -Inf — a rank that has not yet swept any
 	// event holds every window open).
-	for i, lr := range l.ranks {
-		a.logs[i] = lr.log
-	}
 	a.sink = l.sink
 	a.progress = make([]atomic.Uint64, len(l.ranks))
 	for i := range a.progress {

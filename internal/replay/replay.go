@@ -83,12 +83,6 @@ type Config struct {
 	// 0 derives it from the run span so the whole run fits without
 	// bucket folding.
 	ProfileWidth float64
-	// SequentialPostPass forces the wrong-order post-pass to run as
-	// one sequential sweep over the ranks instead of per-rank in
-	// parallel. The two produce byte-identical artifacts (the
-	// determinism tests assert it); the sequential path exists as that
-	// test's reference and as a fallback while debugging.
-	SequentialPostPass bool
 }
 
 // Result is the outcome of one analysis.
@@ -404,30 +398,37 @@ func traceRank(name string) (int, bool) {
 // BuildCorrections derives the per-rank time correction maps for a
 // scheme from the measurements stored in the traces.
 func BuildCorrections(traces []*trace.Trace, scheme vclock.Scheme) ([]vclock.Correction, error) {
+	out := make([]vclock.Correction, len(traces))
+	for r, t := range traces {
+		m, err := rankCorrection(t, scheme)
+		if err != nil {
+			return nil, err
+		}
+		out[r] = vclock.Correction{Rank: r, Map: m}
+	}
+	return out, nil
+}
+
+// rankCorrection derives one rank's clock-correction map from its own
+// trace header under the given scheme. Every scheme needs only that
+// rank's sync block, which is what lets a live session synchronize each
+// rank the moment its header arrives, exactly as a post-mortem analysis
+// of the whole archive would.
+func rankCorrection(t *trace.Trace, scheme vclock.Scheme) (vclock.LinearMap, error) {
 	switch scheme {
 	case vclock.FlatSingle, vclock.FlatInterp:
-		start := make([]vclock.Measurement, len(traces))
-		end := make([]vclock.Measurement, len(traces))
-		for r, t := range traces {
-			start[r] = t.Sync.FlatStart
-			end[r] = t.Sync.FlatEnd
-		}
-		return vclock.BuildFlat(scheme, start, end)
+		return vclock.FlatCorrection(scheme, t.Sync.FlatStart, t.Sync.FlatEnd)
 	case vclock.Hierarchical:
-		inputs := make([]vclock.HierarchicalInput, len(traces))
-		for r, t := range traces {
-			inputs[r] = vclock.HierarchicalInput{
-				Rank:            r,
-				SlaveStart:      t.Sync.LocalStart,
-				SlaveEnd:        t.Sync.LocalEnd,
-				MasterStart:     t.Sync.MasterStart,
-				MasterEnd:       t.Sync.MasterEnd,
-				SharedNodeClock: t.Sync.SharedNodeClock,
-			}
-		}
-		return vclock.BuildHierarchical(inputs), nil
+		return vclock.HierarchicalCorrection(vclock.HierarchicalInput{
+			Rank:            t.Loc.Rank,
+			SlaveStart:      t.Sync.LocalStart,
+			SlaveEnd:        t.Sync.LocalEnd,
+			MasterStart:     t.Sync.MasterStart,
+			MasterEnd:       t.Sync.MasterEnd,
+			SharedNodeClock: t.Sync.SharedNodeClock,
+		}), nil
 	default:
-		return nil, fmt.Errorf("replay: unknown synchronization scheme %v", scheme)
+		return vclock.LinearMap{}, fmt.Errorf("replay: unknown synchronization scheme %v", scheme)
 	}
 }
 
@@ -523,15 +524,7 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 			return nil, err
 		}
 	}
-	if cfg.EagerLimit <= 0 {
-		cfg.EagerLimit = 64 << 10
-	}
-	if cfg.Title == "" {
-		cfg.Title = fmt.Sprintf("experiment (%d processes, %v)", len(traces), cfg.Scheme)
-	}
 	rec := obs.OrDefault(cfg.Obs)
-	m := newReplayMetrics(rec)
-
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("replay: analysis aborted before synchronization: %w", err)
 	}
@@ -541,35 +534,24 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 	if err != nil {
 		return nil, err
 	}
-	vclock.ObserveCorrections(rec, cfg.Scheme, corr)
 
-	comms, err := mergeComms(traces)
+	logs := make([]*rankLog, len(traces))
+	for i, t := range traces {
+		if i < len(readers) && readers[i] != nil {
+			if logs[i], err = newLazyRankLog(readers[i]); err != nil {
+				return nil, err
+			}
+		} else {
+			logs[i] = newClosedRankLog(t.Events)
+		}
+	}
+	a, err := newAnalyzer(traces, corr, logs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCommCoverage(comms, len(traces)); err != nil {
-		return nil, err
-	}
-	a := newAnalyzer(traces, corr, comms, cfg)
-	a.metrics = m
-	for i, r := range readers {
-		if r == nil {
-			continue // v1 rank: fully materialized, flat log already set
-		}
-		lg, err := newLazyRankLog(r)
-		if err != nil {
-			return nil, err
-		}
-		a.logs[i] = lg
-	}
-
 	events := 0
-	for i, t := range traces {
-		if i < len(readers) && readers[i] != nil {
-			events += readers[i].Total()
-		} else {
-			events += len(t.Events)
-		}
+	for _, lg := range logs {
+		events += lg.n
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("replay: analysis aborted before replay: %w", err)
@@ -603,6 +585,7 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 		return nil, rerr
 	}
 
+	m := a.metrics
 	m.events.Add(float64(events))
 	if s := replayDur.Seconds(); s > 0 {
 		m.eventsPerSec.Set(float64(events) / s)

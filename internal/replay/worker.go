@@ -35,11 +35,15 @@ type sendRecord struct {
 
 // mailbox is the unbounded, order-preserving channel delivering send
 // records to one *receiver's* analysis process. put never blocks (the
-// original application's standard-mode sends were buffered), so replay
-// cannot deadlock if the traced application completed. An aborted
-// analysis (cancelled context) wakes every blocked receiver instead:
-// abort is set under the mailbox lock and broadcast, and take returns
-// ok=false so the worker can unwind.
+// original application's standard-mode sends were buffered), so the
+// replay itself adds no wait the application did not have. It does
+// assume every receive in the traces has a matching send: trace
+// validation does not establish that, and a receive with no matching
+// send blocks its take until the analysis is aborted (cancelled
+// context) — ROADMAP's "Replay must never hang" item covers detecting
+// it. An abort wakes every blocked receiver: abort is set under the
+// mailbox lock and broadcast, and take returns ok=false so the worker
+// can unwind.
 //
 // Records are sharded per receiver and, inside a receiver's mailbox,
 // keyed by exact matching signature (comm, src, tag). Matching is
@@ -281,9 +285,8 @@ type rankResult struct {
 	// postLog holds the post-pass severity deposits of this rank
 	// (late-sender family reclassifications), appended by postPassRank
 	// alongside the profile accumulator. The per-phase fold replays
-	// profLog then postLog rank-major, purely sequentially, which keeps
-	// the phase artifact byte-identical whether the post-pass itself ran
-	// sequentially or on one goroutine per rank.
+	// profLog then postLog rank-major, purely sequentially, in one fixed
+	// addition order.
 	postLog []profSample
 	err     error
 }
@@ -324,8 +327,9 @@ type analyzer struct {
 	cfg    Config
 
 	// logs hold the per-rank event streams the workers sweep. Post-
-	// mortem they are closed over the loaded traces before run();
-	// a live session swaps in open logs that fill as chunks land.
+	// mortem they are closed over the loaded (or lazily decoded) traces
+	// before run(); a live session passes open logs that fill as chunks
+	// land.
 	logs []*rankLog
 	// sink, when non-nil, receives every scored severity as a windowed
 	// delta for the live stream (nil post-mortem: one branch per score).
@@ -367,20 +371,42 @@ type analyzer struct {
 	cause     error
 }
 
-func newAnalyzer(traces []*trace.Trace, corr []vclock.Correction, comms map[int32][]int32, cfg Config) *analyzer {
+// newAnalyzer is the one setup path of every driver — post-mortem,
+// lazy, and live analysis differ only in the rank logs they pass. It
+// applies the Config defaults, reports the correction set, merges and
+// checks the communicator definitions, and wires the per-rank mailboxes
+// and collective domains around the given logs.
+func newAnalyzer(traces []*trace.Trace, corr []vclock.Correction, logs []*rankLog, cfg Config) (*analyzer, error) {
+	if cfg.EagerLimit <= 0 {
+		cfg.EagerLimit = 64 << 10
+	}
+	if cfg.Title == "" {
+		cfg.Title = fmt.Sprintf("experiment (%d processes, %v)", len(traces), cfg.Scheme)
+	}
+	rec := obs.OrDefault(cfg.Obs)
+	vclock.ObserveCorrections(rec, cfg.Scheme, corr)
+	comms, err := mergeComms(traces)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkCommCoverage(comms, len(traces)); err != nil {
+		return nil, err
+	}
 	a := &analyzer{
 		traces:    traces,
 		corr:      make([]vclock.LinearMap, len(traces)),
 		comms:     comms,
 		cfg:       cfg,
+		logs:      logs,
 		mailboxes: make([]*mailbox, len(traces)),
 		colls:     make(map[int32]*collDomain, len(comms)),
 		results:   make([]*rankResult, len(traces)),
 		corrs:     corr,
+		metrics:   newReplayMetrics(rec),
+		fl:        rec.Flight,
+		flJob:     cfg.FlightJob,
 		abortCh:   make(chan struct{}),
 	}
-	a.fl = obs.OrDefault(cfg.Obs).Flight
-	a.flJob = cfg.FlightJob
 	if a.flJob <= 0 {
 		a.flJob = -1
 	}
@@ -390,17 +416,13 @@ func newAnalyzer(traces []*trace.Trace, corr []vclock.Correction, comms map[int3
 	for _, c := range corr {
 		a.corr[c.Rank] = c.Map
 	}
-	a.logs = make([]*rankLog, len(traces))
-	for i, t := range traces {
-		a.logs[i] = newClosedRankLog(t.Events)
-	}
 	for i := range a.mailboxes {
 		a.mailboxes[i] = newMailbox()
 	}
 	for id := range comms {
 		a.colls[id] = &collDomain{gathers: make(map[int]*collGather)}
 	}
-	return a
+	return a, nil
 }
 
 // run executes the replay with one goroutine per rank — the parallel
@@ -412,9 +434,6 @@ func newAnalyzer(traces []*trace.Trace, corr []vclock.Correction, comms map[int3
 // profile taken through -pprof attributes samples to the analysis
 // process that burned them.
 func (a *analyzer) run() {
-	if a.metrics == nil {
-		a.metrics = newReplayMetrics(obs.OrDefault(a.cfg.Obs))
-	}
 	a.metrics.ranksDone.Set(0)
 	var wg sync.WaitGroup
 	for rank := range a.traces {
@@ -531,11 +550,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	sc := newSweepCursor(a.logs[rank])
 
 	// One receive-log entry is appended per Recv event; when the whole
-	// log is already present as one slice (post-mortem), sizing it
-	// exactly up front avoids the doubling reallocations that dominated
-	// the analyzer's allocation profile. Lazy and live logs skip this —
-	// counting would force the entire log resident.
-	if nrecv, ok := a.logs[rank].recvCountIfFlat(); ok {
+	// log is already resident (post-mortem), sizing it exactly up front
+	// avoids the doubling reallocations that dominated the analyzer's
+	// allocation profile. Lazy and still-open logs skip this (see
+	// recvCount).
+	if nrecv, ok := a.logs[rank].recvCount(); ok {
 		rr.recvLog = make([]recvInfo, 0, nrecv)
 	}
 

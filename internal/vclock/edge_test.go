@@ -69,20 +69,21 @@ func TestComposeInvertRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuildFlatErrors: the flat builder must reject the hierarchical
-// scheme and mismatched measurement slices with named errors.
+// TestBuildFlatErrors: the flat correction must reject the
+// hierarchical scheme with an error naming the right constructor, and
+// FlatSingle must ignore the end measurement entirely.
 func TestBuildFlatErrors(t *testing.T) {
-	if _, err := BuildFlat(Hierarchical, make([]Measurement, 2), make([]Measurement, 2)); err == nil ||
-		!strings.Contains(err.Error(), "BuildHierarchical") {
-		t.Errorf("hierarchical scheme through BuildFlat: %v", err)
+	if _, err := FlatCorrection(Hierarchical, Measurement{}, Measurement{}); err == nil ||
+		!strings.Contains(err.Error(), "HierarchicalCorrection") {
+		t.Errorf("hierarchical scheme through FlatCorrection: %v", err)
 	}
-	if _, err := BuildFlat(FlatInterp, make([]Measurement, 3), make([]Measurement, 2)); err == nil ||
-		!strings.Contains(err.Error(), "measurements") {
-		t.Errorf("mismatched slices: %v", err)
+	start := Measurement{Local: 1, Offset: 0.5}
+	want, err := FlatCorrection(FlatSingle, start, Measurement{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// FlatSingle ignores the end slice entirely; a mismatch is fine.
-	if _, err := BuildFlat(FlatSingle, make([]Measurement, 3), nil); err != nil {
-		t.Errorf("FlatSingle with nil end measurements: %v", err)
+	if got, err := FlatCorrection(FlatSingle, start, Measurement{Local: 9, Offset: 7}); err != nil || got != want {
+		t.Errorf("FlatSingle with an end measurement = %+v, %v; want %+v", got, err, want)
 	}
 }
 
@@ -96,13 +97,10 @@ func TestBuildHierarchicalSingleMetahost(t *testing.T) {
 		SlaveEnd:   Measurement{Local: 10, Offset: 0.6},
 		// MasterStart/MasterEnd zero: identity composition.
 	}
-	got := BuildHierarchical([]HierarchicalInput{in})[0]
+	got := HierarchicalCorrection(in)
 	want := InterpMap(0, 0.5, 10, 0.6)
-	if got.Rank != 1 {
-		t.Errorf("rank = %d, want 1", got.Rank)
-	}
-	if math.Abs(got.Map.A-want.A) > 1e-12 || math.Abs(got.Map.B-want.B) > 1e-12 {
-		t.Errorf("single-metahost correction = %+v, want slave interpolation %+v", got.Map, want)
+	if math.Abs(got.A-want.A) > 1e-12 || math.Abs(got.B-want.B) > 1e-12 {
+		t.Errorf("single-metahost correction = %+v, want slave interpolation %+v", got, want)
 	}
 }
 
@@ -118,7 +116,7 @@ func TestSharedNodeClockIgnoresSlaveMeasurements(t *testing.T) {
 		MasterEnd:       Measurement{Local: 20, Offset: 0.35},
 		SharedNodeClock: true,
 	}
-	got := BuildHierarchical([]HierarchicalInput{in})[0].Map
+	got := HierarchicalCorrection(in)
 	want := InterpMap(0, 0.25, 20, 0.35)
 	if got != want {
 		t.Errorf("shared-clock correction = %+v, want master interpolation %+v", got, want)
@@ -144,7 +142,7 @@ func TestBuildHierarchicalRecoversTrueClocks(t *testing.T) {
 		MasterStart: measure(local, meta, 0.1),
 		MasterEnd:   measure(local, meta, 9.9),
 	}
-	corr := BuildHierarchical([]HierarchicalInput{in})[0].Map
+	corr := HierarchicalCorrection(in)
 	for _, tt := range []float64{0.1, 1, 5, 9.9, 20} {
 		got := corr.Apply(slave.Read(tt))
 		want := meta.Read(tt)

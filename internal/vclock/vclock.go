@@ -158,31 +158,22 @@ type Correction struct {
 	Map  LinearMap
 }
 
-// BuildFlat constructs per-rank corrections from direct measurements
-// against the global master. start holds the measurement taken at
-// program start for every rank; end (ignored for FlatSingle) the one
-// taken at program end. The master rank passes zero-offset
-// measurements for itself.
-func BuildFlat(scheme Scheme, start, end []Measurement) ([]Correction, error) {
-	if scheme == Hierarchical {
-		return nil, errors.New("vclock: BuildFlat cannot build hierarchical corrections; use BuildHierarchical")
+// FlatCorrection builds the correction map for one rank under a flat
+// scheme from its own measurements against the global master: the
+// single start offset for FlatSingle (end is ignored), the start/end
+// interpolation for FlatInterp. The master rank passes zero-offset
+// measurements for itself. Every input is rank-local, so a live session
+// can construct each rank's correction the moment that rank's sync
+// block arrives, without waiting for the rest of the archive.
+func FlatCorrection(scheme Scheme, start, end Measurement) (LinearMap, error) {
+	switch scheme {
+	case FlatSingle:
+		return SingleOffsetMap(start.Offset), nil
+	case FlatInterp:
+		return InterpMap(start.Local, start.Offset, end.Local, end.Offset), nil
+	default:
+		return LinearMap{}, errors.New("vclock: FlatCorrection cannot build hierarchical corrections; use HierarchicalCorrection")
 	}
-	if scheme == FlatInterp && len(end) != len(start) {
-		return nil, fmt.Errorf("vclock: have %d start but %d end measurements", len(start), len(end))
-	}
-	out := make([]Correction, len(start))
-	for r := range start {
-		var e Measurement
-		if scheme == FlatInterp {
-			e = end[r]
-		}
-		m, err := FlatCorrection(scheme, start[r], e)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = Correction{Rank: r, Map: m}
-	}
-	return out, nil
 }
 
 // HierarchicalInput bundles the measurements of the paper's
@@ -204,15 +195,19 @@ type HierarchicalInput struct {
 	SharedNodeClock bool
 }
 
-// BuildHierarchical composes, for every process, the slave→local-master
-// interpolation with the local-master→metamaster interpolation,
-// yielding the slave→metamaster correction.
-func BuildHierarchical(inputs []HierarchicalInput) []Correction {
-	out := make([]Correction, len(inputs))
-	for i, in := range inputs {
-		out[i] = Correction{Rank: in.Rank, Map: HierarchicalCorrection(in)}
+// HierarchicalCorrection composes one rank's slave→local-master
+// interpolation with its local master's →metamaster interpolation,
+// yielding the slave→metamaster correction. Like FlatCorrection, every
+// input is rank-local.
+func HierarchicalCorrection(in HierarchicalInput) LinearMap {
+	toLocal := Identity()
+	if !in.SharedNodeClock {
+		toLocal = InterpMap(in.SlaveStart.Local, in.SlaveStart.Offset,
+			in.SlaveEnd.Local, in.SlaveEnd.Offset)
 	}
-	return out
+	toMeta := InterpMap(in.MasterStart.Local, in.MasterStart.Offset,
+		in.MasterEnd.Local, in.MasterEnd.Offset)
+	return toMeta.Compose(toLocal)
 }
 
 // ObserveCorrections records residual-drift statistics of a built

@@ -147,26 +147,21 @@ func TestSchemeStringAndParse(t *testing.T) {
 }
 
 func TestBuildFlatSingleIgnoresDrift(t *testing.T) {
-	start := []Measurement{{Local: 0, Offset: 0}, {Local: 10, Offset: 2}}
-	corr, err := BuildFlat(FlatSingle, start, nil)
+	corr, err := FlatCorrection(FlatSingle, Measurement{Local: 10, Offset: 2}, Measurement{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corr[1].Map.Apply(100) != 102 {
-		t.Errorf("FlatSingle correction wrong: %g", corr[1].Map.Apply(100))
+	if corr.Apply(100) != 102 {
+		t.Errorf("FlatSingle correction wrong: %g", corr.Apply(100))
 	}
-	if corr[1].Map.B != 1 {
-		t.Errorf("FlatSingle must not compensate drift (B=%g)", corr[1].Map.B)
+	if corr.B != 1 {
+		t.Errorf("FlatSingle must not compensate drift (B=%g)", corr.B)
 	}
 }
 
-func TestBuildFlatInterpValidation(t *testing.T) {
-	start := make([]Measurement, 3)
-	if _, err := BuildFlat(FlatInterp, start, make([]Measurement, 2)); err == nil {
-		t.Errorf("mismatched end measurements accepted")
-	}
-	if _, err := BuildFlat(Hierarchical, start, start); err == nil {
-		t.Errorf("BuildFlat accepted hierarchical scheme")
+func TestFlatCorrectionRejectsHierarchical(t *testing.T) {
+	if _, err := FlatCorrection(Hierarchical, Measurement{}, Measurement{}); err == nil {
+		t.Fatal("FlatCorrection accepted Hierarchical")
 	}
 }
 
@@ -187,9 +182,9 @@ func TestBuildHierarchicalComposition(t *testing.T) {
 		MasterStart: meas(L, M, t1),
 		MasterEnd:   meas(L, M, t2),
 	}
-	corr := BuildHierarchical([]HierarchicalInput{in})
+	corr := HierarchicalCorrection(in)
 	for _, tt := range []float64{0, 5, 100, 400, 777} {
-		got := corr[0].Map.Apply(S.Read(tt))
+		got := corr.Apply(S.Read(tt))
 		want := M.Read(tt)
 		if !approx(got, want, 1e-6) {
 			t.Errorf("t=%g: %.9f want %.9f", tt, got, want)
@@ -205,8 +200,8 @@ func TestBuildHierarchicalSharedNodeClock(t *testing.T) {
 		MasterStart:     Measurement{Local: 0, Offset: 5},
 		MasterEnd:       Measurement{Local: 100, Offset: 5},
 	}
-	corr := BuildHierarchical([]HierarchicalInput{in})
-	if got := corr[0].Map.Apply(50); !approx(got, 55, 1e-9) {
+	corr := HierarchicalCorrection(in)
+	if got := corr.Apply(50); !approx(got, 55, 1e-9) {
 		t.Errorf("shared-clock correction = %g, want 55", got)
 	}
 }
@@ -234,8 +229,7 @@ func TestHierarchicalExactnessProperty(t *testing.T) {
 			SlaveStart: meas(S, L, 1), SlaveEnd: meas(S, L, 301),
 			MasterStart: meas(L, M, 1), MasterEnd: meas(L, M, 301),
 		}
-		corr := BuildHierarchical([]HierarchicalInput{in})
-		got := corr[0].Map.Apply(S.Read(probe))
+		got := HierarchicalCorrection(in).Apply(S.Read(probe))
 		return approx(got, M.Read(probe), 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

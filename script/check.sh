@@ -76,10 +76,11 @@ if ! echo "$out" | grep 'BenchmarkV2BlockDecode' | grep -q '\b0 allocs/op'; then
 	exit 1
 fi
 
-# The parallel wait-state post-pass must be a pure reordering of the
-# sequential reference: same scenario analyzed both ways must render
-# byte-identical artifacts. Pinned by name so a merge-order or
-# accumulator regression fails the gate with an unambiguous label.
+# The wait-state post-pass folds inputs that racing replay workers
+# wrote in scheduling order: the same scenario analyzed at GOMAXPROCS=1
+# and at the default must render byte-identical artifacts. Pinned by
+# name so a fold-order or accumulator regression fails the gate with an
+# unambiguous label.
 echo "== post-pass determinism smoke"
 go test -race -count=1 -run 'TestPostPassDeterminism' ./internal/conformance
 
@@ -103,8 +104,8 @@ echo "== scenario pipeline smoke"
 go test -race -count=1 -run 'TestScenarioPipelineSmoke' ./internal/scenario
 
 # The phase profile is a deterministic artifact: the same scenario and
-# seed must render byte-identical phase JSON across GOMAXPROCS, trace
-# formats, and the sequential/parallel post-pass. Pinned by name so a
+# seed must render byte-identical phase JSON across GOMAXPROCS and
+# trace formats. Pinned by name so a
 # fold-order regression in the phase accumulator fails the gate with
 # an unambiguous label.
 echo "== phase profile determinism"
