@@ -20,7 +20,7 @@ fuzz: ## coverage-guided fuzzing of the trace decoders and scenario parser (seed
 	go test ./internal/scenario -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime $(FUZZTIME)
 	go test ./internal/phase -run '^$$' -fuzz 'FuzzPhaseAlign$$' -fuzztime $(FUZZTIME)
 
-scenarios: ## compile, run, and oracle-check every library scenario across both trace formats
+scenarios: ## compile, run, and oracle-check every library scenario (the v1 subtests re-check seed 1 from its checked-in v1 archive)
 	go test ./internal/conformance -count=1 -v -run 'TestKernelOracle|TestKernelTruncationFails'
 	go test ./internal/scenario -count=1 -run 'TestLibraryCompiles|TestArchiveDeterminism'
 

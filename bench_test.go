@@ -293,17 +293,12 @@ func BenchmarkParallelReplay(b *testing.B) {
 // per-metahost archives and decoding every rank's trace file into
 // memory — the fixed cost every analysis, timeline export, or profile
 // pays before replay can start. b.SetBytes reports decode throughput
-// over the total encoded archive size. Sub-benchmarks compare the v1
-// row encoding, the columnar v2 encoding fully materialized, and the
-// v2 header-only lazy open (decode deferred into the replay sweep) —
-// the default load path since the v2 push.
+// over the total encoded (v2) archive size.
 func BenchmarkArchiveLoad(b *testing.B) {
-	archiveOf := func(b *testing.B, f trace.Format) (*metascope.Experiment, int64) {
-		b.Helper()
+	b.Run("v2", func(b *testing.B) {
 		topo := metascope.VIOLA()
 		place := metascope.ViolaExperiment1Placement(topo)
 		e := metascope.NewExperiment("bench", topo, place, 42)
-		e.TraceFormat = f
 		if err := e.Build(); err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +313,7 @@ func BenchmarkArchiveLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sizes, err := replay.TraceSizesFormat(traces, f)
+		sizes, err := replay.TraceSizes(traces)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,37 +321,11 @@ func BenchmarkArchiveLoad(b *testing.B) {
 		for _, s := range sizes {
 			total += s
 		}
-		return e, total
-	}
-	b.Run("v1", func(b *testing.B) {
-		e, total := archiveOf(b, trace.FormatV1)
 		mounts, metahosts := e.Mounts(), e.Place.MetahostsUsed()
 		b.SetBytes(total)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := replay.LoadArchive(mounts, metahosts, e.ArchiveDir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v2", func(b *testing.B) {
-		e, total := archiveOf(b, trace.FormatV2)
-		mounts, metahosts := e.Mounts(), e.Place.MetahostsUsed()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := replay.LoadArchive(mounts, metahosts, e.ArchiveDir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v2-lazy", func(b *testing.B) {
-		e, total := archiveOf(b, trace.FormatV2)
-		mounts, metahosts := e.Mounts(), e.Place.MetahostsUsed()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := replay.LoadArchiveLazy(mounts, metahosts, e.ArchiveDir); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -424,8 +393,8 @@ func BenchmarkReplayTrafficVsTraceSize(b *testing.B) {
 // chunk decode, incremental replay, window scheduling — to a final
 // result, either as one chunk per rank ("oneshot") or as interleaved
 // 64 KiB chunks ("chunked"), against BenchmarkParallelReplay as the
-// post-mortem baseline, for both wire encodings. Reported metric:
-// severity windows closed per second of wall time.
+// post-mortem baseline. Reported metric: severity windows closed per
+// second of wall time.
 func BenchmarkStreamingIngest(b *testing.B) {
 	topo := metascope.VIOLA()
 	place := metascope.ViolaExperiment1Placement(topo)
@@ -444,17 +413,15 @@ func BenchmarkStreamingIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	encodeAll := func(f trace.Format) (blobs [][]byte, total int64) {
-		blobs = make([][]byte, len(traces))
-		for i, tr := range traces {
-			var buf bytes.Buffer
-			if err := tr.EncodeFormat(&buf, f); err != nil {
-				b.Fatal(err)
-			}
-			blobs[i] = buf.Bytes()
-			total += int64(buf.Len())
+	blobs := make([][]byte, len(traces))
+	var total int64
+	for i, tr := range traces {
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			b.Fatal(err)
 		}
-		return blobs, total
+		blobs[i] = buf.Bytes()
+		total += int64(buf.Len())
 	}
 	run := func(b *testing.B, blobs [][]byte, total int64, chunk int) {
 		b.SetBytes(total)
@@ -508,12 +475,8 @@ func BenchmarkStreamingIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(windows)/b.Elapsed().Seconds(), "windows/s")
 	}
-	for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-		f := f
-		blobs, total := encodeAll(f)
-		b.Run(f.String()+"-oneshot", func(b *testing.B) { run(b, blobs, total, 0) })
-		b.Run(f.String()+"-chunked-64KiB", func(b *testing.B) { run(b, blobs, total, 64<<10) })
-	}
+	b.Run("v2-oneshot", func(b *testing.B) { run(b, blobs, total, 0) })
+	b.Run("v2-chunked-64KiB", func(b *testing.B) { run(b, blobs, total, 64<<10) })
 }
 
 // BenchmarkTraceEncodeDecode measures the trace format's throughput.

@@ -6,12 +6,12 @@
 //	mtgen -list                            # shipped scenario library
 //	mtgen -library halo2d -describe        # compiled plan, no run
 //	mtgen -library masterworker -out ./run # archives on disk
-//	mtgen scenario.yaml -format v1 -seed 7 # scenario file, v1 archive
+//	mtgen scenario.yaml -seed 7            # scenario file
 //	mtgen -library amr -serve http://host:8080 -chunk 4096
 //
 // Every scenario compiles to a closed-form expectation of the wait
 // states the analyzer must find; the archive digest printed on every
-// run is deterministic in (scenario, seed, format).
+// run is deterministic in (scenario, seed).
 package main
 
 import (
@@ -44,7 +44,6 @@ type options struct {
 	library  string
 	describe bool
 	out      string
-	format   string
 	seed     int64
 	serve    string
 	chunk    int
@@ -64,14 +63,6 @@ func run(o options, args []string, out io.Writer) error {
 		fmt.Fprint(out, p.Describe())
 		return nil
 	}
-	format, err := trace.ParseFormat(o.format)
-	if err != nil {
-		return err
-	}
-	if format == trace.FormatDefault {
-		format = trace.FormatV2
-	}
-	p.Spec.Format = format
 	title := o.title
 	if title == "" {
 		title = p.Spec.Name
@@ -105,7 +96,7 @@ func run(o options, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "scenario %q: kernel %s, %d ranks, %d phases, %.2f s virtual time\n",
 		name, p.Spec.Kernel, p.N(), p.Phases(), e.Engine().Now())
-	fmt.Fprintf(out, "archive %s (%s): %d files, sha256 %s\n", e.ArchiveDir, format, files, digest)
+	fmt.Fprintf(out, "archive %s (%s): %d files, sha256 %s\n", e.ArchiveDir, trace.FormatV2, files, digest)
 	if o.out != "" {
 		fmt.Fprintf(out, "archives written under %s (one subdirectory per metahost)\n", o.out)
 		fmt.Fprintf(out, "analyze with: mtanalyze -in %s -archive %s\n", o.out, e.ArchiveDir)
@@ -294,7 +285,6 @@ func main() {
 	flag.StringVar(&o.library, "library", "", "run a shipped scenario by name instead of a file")
 	flag.BoolVar(&o.describe, "describe", false, "print the compiled plan and exit without running")
 	flag.StringVar(&o.out, "out", "", "write archives under this directory (one subdirectory per metahost)")
-	flag.StringVar(&o.format, "format", "", "trace file format: v1 | v2 (default: v2)")
 	flag.Int64Var(&o.seed, "seed", 1, "experiment seed (placement noise, clock phases)")
 	flag.StringVar(&o.serve, "serve", "", "submit the archive to this mtserved base URL as a live session")
 	flag.IntVar(&o.chunk, "chunk", 4096, "chunk size in bytes for -serve uploads")

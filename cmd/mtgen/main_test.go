@@ -72,23 +72,18 @@ func TestGoldenDescribe(t *testing.T) {
 	}
 }
 
-// TestGoldenRunDigest runs a scenario end to end under a fixed seed in
-// both trace formats and pins the full output including the archive
-// sha256: the generator must be byte-deterministic.
+// TestGoldenRunDigest runs a scenario end to end under a fixed seed and
+// pins the full output including the sha256 of the v2 archive: the
+// generator must be byte-deterministic.
 func TestGoldenRunDigest(t *testing.T) {
 	t.Parallel()
-	for _, format := range []string{"v1", "v2"} {
-		format := format
-		t.Run(format, func(t *testing.T) {
-			t.Parallel()
-			var buf bytes.Buffer
-			o := options{library: "halo1d", format: format, seed: 1}
-			if err := run(o, nil, &buf); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "run-halo1d-"+format+".golden", buf.Bytes())
-		})
-	}
+	t.Run("v2", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := run(options{library: "halo1d", seed: 1}, nil, &buf); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "run-halo1d-v2.golden", buf.Bytes())
+	})
 }
 
 // TestRunScenarioFile loads a scenario from a file argument and writes
@@ -125,9 +120,6 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if err := run(options{library: "nope"}, nil, io.Discard); err == nil {
 		t.Error("unknown library scenario accepted")
-	}
-	if err := run(options{library: "halo1d", format: "v9"}, nil, io.Discard); err == nil {
-		t.Error("unknown format accepted")
 	}
 }
 

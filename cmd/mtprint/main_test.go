@@ -7,41 +7,58 @@ import (
 	"path/filepath"
 	"testing"
 
+	"metascope"
 	"metascope/internal/conformance"
 	"metascope/internal/pattern"
 	"metascope/internal/replay"
 	"metascope/internal/scenario"
-	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenFormats drives every golden test over both trace encodings:
-// the rendered output must match the SAME golden file regardless of
-// which on-disk format the archive used.
-func goldenFormats(t *testing.T, f func(t *testing.T, tf trace.Format)) {
-	for _, tf := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-		tf := tf
-		t.Run(tf.String(), func(t *testing.T) { f(t, tf) })
+// the rendered output must match the SAME golden file whether the
+// analysis read the measured v2 archive or the run's checked-in v1
+// archive (conformance.UseV1Archive).
+func goldenFormats(t *testing.T, f func(t *testing.T, v1 bool)) {
+	for _, name := range []string{"v1", "v2"} {
+		v1 := name == "v1"
+		t.Run(name, func(t *testing.T) { f(t, v1) })
+	}
+}
+
+// useV1 swaps e's archive for the checked-in v1 archive of the same
+// run, which must exist.
+func useV1(t *testing.T, e *metascope.Experiment, name string) {
+	t.Helper()
+	if ok, err := conformance.UseV1Archive(e, name, 1); err != nil || !ok {
+		t.Fatalf("v1 archive %s: ok=%v err=%v", name, ok, err)
 	}
 }
 
 // fixtureCube runs a deterministic conformance scenario and writes its
 // analysis report, giving the golden tests a real cube produced by the
-// full pipeline rather than a hand-built fake.
-func fixtureCube(t *testing.T, tf trace.Format) (cubePath, profilePath string) {
+// full pipeline rather than a hand-built fake. The scenario is the
+// oracle's wait-barrier-intra under another name, so it shares that
+// scenario's v1 archive.
+func fixtureCube(t *testing.T, v1 bool) (cubePath, profilePath string) {
 	t.Helper()
 	s := conformance.Scenario{
 		Name: "golden", Base: pattern.WaitBarrier,
 		Delays: []float64{0.05, 0.17, 0.08, 0.26}, Align: 1.0,
-		Format: tf,
 	}
 	rr, err := conformance.RunScenario(s, 1, vclock.Hierarchical)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := rr.Results[vclock.Hierarchical]
+	if v1 {
+		useV1(t, rr.Exp, "wait-barrier-intra")
+		if res, err = rr.Exp.Analyze(vclock.Hierarchical); err != nil {
+			t.Fatal(err)
+		}
+	}
 	dir := t.TempDir()
 	cubePath = filepath.Join(dir, "report.cube")
 	f, err := os.Create(cubePath)
@@ -84,8 +101,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestGoldenMetricTree(t *testing.T) {
-	goldenFormats(t, func(t *testing.T, tf trace.Format) {
-		cube, _ := fixtureCube(t, tf)
+	goldenFormats(t, func(t *testing.T, v1 bool) {
+		cube, _ := fixtureCube(t, v1)
 		var buf bytes.Buffer
 		if err := run(nil, options{}, []string{cube}, &buf); err != nil {
 			t.Fatal(err)
@@ -95,8 +112,8 @@ func TestGoldenMetricTree(t *testing.T) {
 }
 
 func TestGoldenMetricList(t *testing.T) {
-	goldenFormats(t, func(t *testing.T, tf trace.Format) {
-		cube, _ := fixtureCube(t, tf)
+	goldenFormats(t, func(t *testing.T, v1 bool) {
+		cube, _ := fixtureCube(t, v1)
 		var buf bytes.Buffer
 		if err := run(nil, options{list: true}, []string{cube}, &buf); err != nil {
 			t.Fatal(err)
@@ -106,8 +123,8 @@ func TestGoldenMetricList(t *testing.T) {
 }
 
 func TestGoldenFigure(t *testing.T) {
-	goldenFormats(t, func(t *testing.T, tf trace.Format) {
-		cube, _ := fixtureCube(t, tf)
+	goldenFormats(t, func(t *testing.T, v1 bool) {
+		cube, _ := fixtureCube(t, v1)
 		var buf bytes.Buffer
 		if err := run(nil, options{metric: pattern.KeyWaitBarrier}, []string{cube}, &buf); err != nil {
 			t.Fatal(err)
@@ -117,8 +134,8 @@ func TestGoldenFigure(t *testing.T) {
 }
 
 func TestGoldenHTML(t *testing.T) {
-	goldenFormats(t, func(t *testing.T, tf trace.Format) {
-		cube, profile := fixtureCube(t, tf)
+	goldenFormats(t, func(t *testing.T, v1 bool) {
+		cube, profile := fixtureCube(t, v1)
 		htmlOut := filepath.Join(t.TempDir(), "report.html")
 		var buf bytes.Buffer
 		if err := run(nil, options{htmlOut: htmlOut, profileIn: profile}, []string{cube}, &buf); err != nil {
@@ -135,16 +152,18 @@ func TestGoldenHTML(t *testing.T) {
 // fixturePhases analyzes a deterministic straggler kernel and writes
 // its phase profile, so the golden test renders a real multi-phase
 // artifact produced by the full pipeline.
-func fixturePhases(t *testing.T, tf trace.Format) string {
+func fixturePhases(t *testing.T, v1 bool) string {
 	t.Helper()
 	prog, err := scenario.LoadLibrary("straggler")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Spec.Format = tf
 	e, err := prog.Run("print-phases", 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v1 {
+		useV1(t, e, "straggler")
 	}
 	traces, err := e.Traces()
 	if err != nil {
@@ -162,8 +181,8 @@ func fixturePhases(t *testing.T, tf trace.Format) string {
 }
 
 func TestGoldenPhases(t *testing.T) {
-	goldenFormats(t, func(t *testing.T, tf trace.Format) {
-		phases := fixturePhases(t, tf)
+	goldenFormats(t, func(t *testing.T, v1 bool) {
+		phases := fixturePhases(t, v1)
 		var buf bytes.Buffer
 		if err := run(nil, options{phasesIn: phases}, nil, &buf); err != nil {
 			t.Fatal(err)

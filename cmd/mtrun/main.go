@@ -23,10 +23,9 @@ import (
 	"metascope/internal/obs"
 	"metascope/internal/replay"
 	"metascope/internal/topology"
-	"metascope/internal/trace"
 )
 
-func run(cli *obs.CLIConfig, workload, config string, seed int64, out string, rounds, steps int, format trace.Format) error {
+func run(cli *obs.CLIConfig, workload, config string, seed int64, out string, rounds, steps int) error {
 	var topo *topology.Metacomputer
 	var place *topology.Placement
 	switch config {
@@ -43,7 +42,6 @@ func run(cli *obs.CLIConfig, workload, config string, seed int64, out string, ro
 	rec := cli.Recorder()
 	e := metascope.NewExperiment(workload, topo, place, seed)
 	e.Obs = rec
-	e.TraceFormat = format
 	if err := e.Build(); err != nil {
 		return err
 	}
@@ -108,14 +106,10 @@ func main() {
 	out := flag.String("out", "archive", "output directory (one subdirectory per metahost)")
 	rounds := flag.Int("rounds", 0, "clockbench rounds override")
 	steps := flag.Int("steps", 0, "metatrace coupling steps override")
-	formatStr := flag.String("format", "", "trace file format: v1 | v2 (default: v2)")
 	flag.Parse()
 	cli.Start()
 
-	format, err := trace.ParseFormat(*formatStr)
-	if err == nil {
-		err = run(cli, *workload, *config, *seed, *out, *rounds, *steps, format)
-	}
+	err := run(cli, *workload, *config, *seed, *out, *rounds, *steps)
 	if ferr := cli.Flush(); err == nil {
 		err = ferr
 	}

@@ -3,11 +3,11 @@
 //	mttrace run1/FZJ/epik_metatrace/trace.16.mscp          # summary
 //	mttrace -dump -n 50 run1/FZJ/epik_metatrace/trace.16.mscp
 //	mttrace -sync run1/FZJ/epik_metatrace/trace.16.mscp    # offset data
-//	mttrace -convert -format v2 run1/FZJ/epik_metatrace/*.mscp
+//	mttrace -convert run1/FZJ/epik_metatrace/*.mscp
 //
-// -convert re-encodes trace files in place (write-to-temp + rename, so
-// a crash never leaves a half-written trace), e.g. to migrate a v1
-// archive to the columnar v2 encoding or back.
+// -convert re-encodes trace files in place in the current (v2) format
+// (write-to-temp + rename, so a crash never leaves a half-written
+// trace): the upgrade path for archives written in v1.
 package main
 
 import (
@@ -23,9 +23,9 @@ import (
 )
 
 // convert re-encodes one trace file in place atomically. Files already
-// in the target format are rewritten anyway — cheap, and it keeps the
-// operation idempotent byte-for-byte (encode is deterministic).
-func convert(cli *obs.CLIConfig, path string, f trace.Format) error {
+// in v2 are rewritten anyway — cheap, and it keeps the operation
+// idempotent byte-for-byte (encode is deterministic).
+func convert(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -39,7 +39,7 @@ func convert(cli *obs.CLIConfig, path string, f trace.Format) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	var buf bytes.Buffer
-	if err := tr.EncodeFormat(&buf, f); err != nil {
+	if err := tr.Encode(&buf); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	tmp := path + ".tmp"
@@ -55,13 +55,13 @@ func convert(cli *obs.CLIConfig, path string, f trace.Format) error {
 	return nil
 }
 
-func run(cli *obs.CLIConfig, dump bool, n int, sync bool, doConvert bool, format trace.Format) error {
+func run(cli *obs.CLIConfig, dump bool, n int, sync bool, doConvert bool) error {
 	if flag.NArg() == 0 {
-		return fmt.Errorf("usage: mttrace [-dump [-n N]] [-sync] [-convert -format v1|v2] trace.mscp...")
+		return fmt.Errorf("usage: mttrace [-dump [-n N]] [-sync] [-convert] trace.mscp...")
 	}
 	for _, path := range flag.Args() {
 		if doConvert {
-			if err := convert(cli, path, format); err != nil {
+			if err := convert(path); err != nil {
 				return err
 			}
 			continue
@@ -112,15 +112,11 @@ func main() {
 	dump := flag.Bool("dump", false, "dump the raw event stream")
 	n := flag.Int("n", 100, "with -dump: maximum number of events (0 = all)")
 	sync := flag.Bool("sync", false, "print the synchronization measurements")
-	doConvert := flag.Bool("convert", false, "re-encode the trace files in place (atomic rename)")
-	formatStr := flag.String("format", "", "with -convert: target format v1 | v2 (default: the current default format)")
+	doConvert := flag.Bool("convert", false, "re-encode the trace files in place as v2 (atomic rename)")
 	flag.Parse()
 	cli.Start()
 
-	format, err := trace.ParseFormat(*formatStr)
-	if err == nil {
-		err = run(cli, *dump, *n, *sync, *doConvert, format)
-	}
+	err := run(cli, *dump, *n, *sync, *doConvert)
 	if ferr := cli.Flush(); err == nil {
 		err = ferr
 	}

@@ -29,7 +29,6 @@ import (
 	"metascope/internal/pattern"
 	"metascope/internal/replay"
 	"metascope/internal/topology"
-	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
 
@@ -68,11 +67,6 @@ type Scenario struct {
 	// LateSender (the send must not block), above it for LateReceiver
 	// (the send must use the blocking rendezvous protocol).
 	Bytes int
-	// Format is the trace encoding the measured archive is written in
-	// (trace.FormatV1, trace.FormatV2, or trace.FormatDefault for the
-	// current default). The oracle runs over both concrete formats to
-	// prove the encodings are analytically indistinguishable.
-	Format trace.Format
 }
 
 // N returns the scenario's rank count.
@@ -161,7 +155,6 @@ func (s Scenario) NewExperiment(seed int64) (*metascope.Experiment, error) {
 	}
 	e := metascope.NewExperiment("conf-"+s.Name, topo, place, seed)
 	e.AsymFrac = -1 // symmetric links: Cristian's method is then exact
-	e.TraceFormat = s.Format
 	if err := e.Build(); err != nil {
 		return nil, err
 	}

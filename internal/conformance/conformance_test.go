@@ -6,8 +6,9 @@ import (
 	"strconv"
 	"testing"
 
+	"metascope"
 	"metascope/internal/pattern"
-	"metascope/internal/trace"
+	"metascope/internal/replay"
 	"metascope/internal/vclock"
 )
 
@@ -61,6 +62,51 @@ func oracleSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
+// archiveFormats names the two archive encodings the oracles sweep:
+// "v2", the archive as measured, and "v1", the checked-in v1 archive of
+// the same run (UseV1Archive), which exists for seed 1.
+var archiveFormats = []string{"v1", "v2"}
+
+// formatSeeds returns the oracle seeds a format subtest of name runs:
+// all of them for v2, and for v1 only those with a checked-in archive,
+// so no v1 subtest measures a run it cannot swap.
+func formatSeeds(t *testing.T, name string, v1 bool) []int64 {
+	t.Helper()
+	if !v1 {
+		return oracleSeeds(t)
+	}
+	var seeds []int64
+	for _, seed := range oracleSeeds(t) {
+		_, ok, err := V1Archive(name, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ok {
+			seeds = append(seeds, seed)
+		} else {
+			t.Logf("seed %d: no checked-in v1 archive; the v2 subtest covers it", seed)
+		}
+	}
+	return seeds
+}
+
+// reanalyzeV1 swaps e's archive for the checked-in v1 archive of
+// (name, seed) and redoes every analysis in results from it.
+func reanalyzeV1(t *testing.T, e *metascope.Experiment, name string, seed int64, results map[vclock.Scheme]*replay.Result) {
+	t.Helper()
+	ok, err := UseV1Archive(e, name, seed)
+	if err != nil || !ok {
+		t.Fatalf("seed %d: no usable v1 archive: ok=%v err=%v", seed, ok, err)
+	}
+	for sch := range results {
+		res, err := e.Analyze(sch)
+		if err != nil {
+			t.Fatalf("seed %d %v: analyzing the v1 archive: %v", seed, sch, err)
+		}
+		results[sch] = res
+	}
+}
+
 // TestOracle is the tentpole assertion: for every pattern variant and
 // both trace encodings the full pipeline — simulated run, archive,
 // synchronization, replay, pattern search, cube — recovers the planted
@@ -69,23 +115,25 @@ func oracleSeeds(t *testing.T) []int64 {
 // analytically derived drift bound.
 func TestOracle(t *testing.T) {
 	for _, s := range oracleScenarios() {
-		for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-			s := s
-			s.Format = f
-			t.Run(s.Name+"/"+f.String(), func(t *testing.T) {
+		for _, f := range archiveFormats {
+			s, v1 := s, f == "v1"
+			t.Run(s.Name+"/"+f, func(t *testing.T) {
 				t.Parallel()
-				testOracleScenario(t, s)
+				testOracleScenario(t, s, v1)
 			})
 		}
 	}
 }
 
-func testOracleScenario(t *testing.T, s Scenario) {
-	for _, seed := range oracleSeeds(t) {
+func testOracleScenario(t *testing.T, s Scenario, v1 bool) {
+	for _, seed := range formatSeeds(t, s.Name, v1) {
 		rr, err := RunScenario(s, seed,
 			vclock.FlatSingle, vclock.FlatInterp, vclock.Hierarchical)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if v1 {
+			reanalyzeV1(t, rr.Exp, s.Name, seed, rr.Results)
 		}
 		for _, sch := range []vclock.Scheme{vclock.FlatInterp, vclock.Hierarchical} {
 			res := rr.Results[sch]

@@ -10,12 +10,10 @@ import (
 	"metascope/internal/vclock"
 )
 
-// runArtifacts runs one scenario end to end under the given on-disk
-// trace format and returns the rendered report, profile, and phase
-// profile bytes.
-func runArtifacts(t *testing.T, s Scenario, f trace.Format, cfg replay.Config) (report, prof, phases []byte) {
+// runArtifacts runs one scenario end to end and returns the rendered
+// report, profile, and phase profile bytes of its analysis under cfg.
+func runArtifacts(t *testing.T, s Scenario, cfg replay.Config) (report, prof, phases []byte) {
 	t.Helper()
-	s.Format = f
 	e, err := s.NewExperiment(1)
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +25,12 @@ func runArtifacts(t *testing.T, s Scenario, f trace.Format, cfg replay.Config) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	return analyzeArtifacts(t, traces, cfg)
+}
+
+// analyzeArtifacts analyzes traces under cfg and renders the artifacts.
+func analyzeArtifacts(t *testing.T, traces []*trace.Trace, cfg replay.Config) (report, prof, phases []byte) {
+	t.Helper()
 	res, err := replay.Analyze(traces, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +38,38 @@ func runArtifacts(t *testing.T, s Scenario, f trace.Format, cfg replay.Config) (
 	return renderArtifacts(t, res)
 }
 
+// v1Traces decodes the checked-in v1 archive of (name, seed) and,
+// separately, the v2 re-encode of each of its traces — the bytes
+// mttrace -convert would leave on disk.
+func v1Traces(t *testing.T, name string, seed int64) (v1, v2 []*trace.Trace) {
+	t.Helper()
+	images, ok, err := V1Archive(name, seed)
+	if err != nil || !ok {
+		t.Fatalf("v1 archive %s seed %d: ok=%v err=%v", name, seed, ok, err)
+	}
+	for r, img := range images {
+		tr, err := trace.DecodeBytes(img)
+		if err != nil {
+			t.Fatalf("rank %d: decoding v1: %v", r, err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatalf("rank %d: re-encoding: %v", r, err)
+		}
+		if f, _ := trace.FormatOf(buf.Bytes()); f != trace.FormatV2 {
+			t.Fatalf("rank %d: re-encode is %v, want v2", r, f)
+		}
+		re, err := trace.DecodeBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("rank %d: decoding the v2 re-encode: %v", r, err)
+		}
+		v1, v2 = append(v1, tr), append(v2, re)
+	}
+	return v1, v2
+}
+
 // TestFormatArtifactEquality: the trace encoding is a transport detail.
-// The same scenario measured to v1 and to v2 archives must produce
+// A checked-in v1 archive and its v2 re-encode must produce
 // byte-identical analysis artifacts.
 func TestFormatArtifactEquality(t *testing.T) {
 	t.Parallel()
@@ -48,8 +82,9 @@ func TestFormatArtifactEquality(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "fmt-" + s.Name}
-			r1, p1, h1 := runArtifacts(t, s, trace.FormatV1, cfg)
-			r2, p2, h2 := runArtifacts(t, s, trace.FormatV2, cfg)
+			v1, v2 := v1Traces(t, s.Name, 1)
+			r1, p1, h1 := analyzeArtifacts(t, v1, cfg)
+			r2, p2, h2 := analyzeArtifacts(t, v2, cfg)
 			if !bytes.Equal(r1, r2) {
 				t.Errorf("report bytes differ between v1 and v2 archives (%d vs %d)", len(r1), len(r2))
 			}
@@ -60,56 +95,6 @@ func TestFormatArtifactEquality(t *testing.T) {
 				t.Errorf("phase profile bytes differ between v1 and v2 archives (%d vs %d)", len(h1), len(h2))
 			}
 		})
-	}
-}
-
-// TestLazyArtifactEquality: analyzing a v2 archive through the
-// zero-copy lazy block cursor must be indistinguishable from fully
-// materializing every trace first.
-func TestLazyArtifactEquality(t *testing.T) {
-	t.Parallel()
-	s := oracleScenarios()[1] // late-sender grid: exercises cross-metahost matching
-	s.Format = trace.FormatV2
-	e, err := s.NewExperiment(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(s.Body); err != nil {
-		t.Fatal(err)
-	}
-	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "lazy-eq"}
-
-	traces, err := e.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := replay.Analyze(traces, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantReport, wantProf, wantPhases := renderArtifacts(t, want)
-
-	ar, err := e.TracesLazy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := replay.AnalyzeLazy(ar, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotReport, gotProf, gotPhases := renderArtifacts(t, got)
-
-	if !bytes.Equal(gotReport, wantReport) {
-		t.Errorf("lazy report bytes differ from materialized (%d vs %d)", len(gotReport), len(wantReport))
-	}
-	if !bytes.Equal(gotProf, wantProf) {
-		t.Errorf("lazy profile bytes differ from materialized (%d vs %d)", len(gotProf), len(wantProf))
-	}
-	if !bytes.Equal(gotPhases, wantPhases) {
-		t.Errorf("lazy phase profile bytes differ from materialized (%d vs %d)", len(gotPhases), len(wantPhases))
-	}
-	if mm := CheckOracle(got.Report, s, MasterScale(e), ExactTol); len(mm) != 0 {
-		t.Errorf("lazy analysis fails the oracle: %v", mm)
 	}
 }
 
@@ -128,9 +113,9 @@ func TestPostPassDeterminism(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "pp-" + s.Name}
 			old := runtime.GOMAXPROCS(1)
-			rOne, pOne, hOne := runArtifacts(t, s, trace.FormatDefault, cfg)
+			rOne, pOne, hOne := runArtifacts(t, s, cfg)
 			runtime.GOMAXPROCS(old)
-			rDef, pDef, hDef := runArtifacts(t, s, trace.FormatDefault, cfg)
+			rDef, pDef, hDef := runArtifacts(t, s, cfg)
 			if !bytes.Equal(rOne, rDef) {
 				t.Errorf("report bytes differ across GOMAXPROCS (%d vs %d)", len(rOne), len(rDef))
 			}

@@ -11,7 +11,6 @@ import (
 	"metascope/internal/phase"
 	"metascope/internal/replay"
 	"metascope/internal/scenario"
-	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
 
@@ -135,16 +134,15 @@ type KernelRun struct {
 	Results map[vclock.Scheme]*replay.Result
 }
 
-// RunKernel loads a library scenario, overrides its trace format, runs
-// it through the normal pipeline (including post-measurement fault
-// injection), and analyzes the archive under every requested scheme.
-func RunKernel(name string, format trace.Format, seed int64, schemes ...vclock.Scheme) (*KernelRun, error) {
+// RunKernel loads a library scenario, runs it through the normal
+// pipeline (including post-measurement fault injection), and analyzes
+// the archive under every requested scheme.
+func RunKernel(name string, seed int64, schemes ...vclock.Scheme) (*KernelRun, error) {
 	prog, err := scenario.LoadLibrary(name)
 	if err != nil {
 		return nil, err
 	}
-	prog.Spec.Format = format
-	e, err := prog.Run(fmt.Sprintf("kern-%s-%s", name, format), seed)
+	e, err := prog.Run("kern-"+name, seed)
 	if err != nil {
 		return nil, fmt.Errorf("kernel %s: measuring: %w", name, err)
 	}

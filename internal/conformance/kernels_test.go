@@ -1,15 +1,11 @@
 package conformance
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"testing"
 
-	"metascope/internal/mmpi"
 	"metascope/internal/replay"
 	"metascope/internal/scenario"
-	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
 
@@ -32,28 +28,30 @@ func TestCompletionConstantsAgree(t *testing.T) {
 }
 
 // TestKernelOracle is the generated-workload arm of the oracle: every
-// exact library kernel, in both trace encodings, analyzed under every
-// synchronization scheme, must reproduce its compiled multi-key
-// expectation — and the lazy zero-copy path must produce artifacts
-// byte-identical to the materialized post-mortem analysis.
+// exact library kernel, from its measured v2 archive and from its
+// checked-in v1 archive, analyzed under every synchronization scheme,
+// must reproduce its compiled multi-key expectation.
 func TestKernelOracle(t *testing.T) {
 	for _, name := range exactKernels() {
-		for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-			name, f := name, f
-			t.Run(name+"/"+f.String(), func(t *testing.T) {
+		for _, f := range archiveFormats {
+			name, v1 := name, f == "v1"
+			t.Run(name+"/"+f, func(t *testing.T) {
 				t.Parallel()
-				testKernelOracle(t, name, f)
+				testKernelOracle(t, name, v1)
 			})
 		}
 	}
 }
 
-func testKernelOracle(t *testing.T, name string, f trace.Format) {
-	for _, seed := range oracleSeeds(t) {
-		kr, err := RunKernel(name, f, seed,
+func testKernelOracle(t *testing.T, name string, v1 bool) {
+	for _, seed := range formatSeeds(t, name, v1) {
+		kr, err := RunKernel(name, seed,
 			vclock.FlatSingle, vclock.FlatInterp, vclock.Hierarchical)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if v1 {
+			reanalyzeV1(t, kr.Exp, name, seed, kr.Results)
 		}
 		prog := kr.Program
 		if !prog.Expect.Exact {
@@ -77,8 +75,6 @@ func testKernelOracle(t *testing.T, name string, f trace.Format) {
 		for _, mm := range CheckKernel(kr.Results[vclock.FlatSingle].Report, prog, kr.Scale, tol) {
 			t.Errorf("seed %d %v: %v", seed, vclock.FlatSingle, mm)
 		}
-
-		checkKernelLazy(t, kr, seed)
 	}
 }
 
@@ -106,68 +102,21 @@ func checkKernelProfileMass(t *testing.T, res *replay.Result, prog *scenario.Pro
 	}
 }
 
-// checkKernelLazy re-analyzes the same archive through the lazy
-// zero-copy loader and requires byte-identical report and profile
-// artifacts.
-func checkKernelLazy(t *testing.T, kr *KernelRun, seed int64) {
-	t.Helper()
-	cfg := replay.Config{
-		Scheme:     vclock.Hierarchical,
-		Title:      fmt.Sprintf("lazy-kern-%s-%d", kr.Program.Spec.Name, seed),
-		EagerLimit: mmpi.DefaultEagerLimit,
-	}
-	postTraces, err := kr.Exp.Traces()
-	if err != nil {
-		t.Fatalf("seed %d: loading materialized archive: %v", seed, err)
-	}
-	post, err := replay.Analyze(postTraces, cfg)
-	if err != nil {
-		t.Fatalf("seed %d: post-mortem analysis: %v", seed, err)
-	}
-	ar, err := kr.Exp.TracesLazy()
-	if err != nil {
-		t.Fatalf("seed %d: lazy load: %v", seed, err)
-	}
-	lazy, err := replay.AnalyzeLazy(ar, cfg)
-	if err != nil {
-		t.Fatalf("seed %d: lazy analysis: %v", seed, err)
-	}
-	wantReport, wantProf, wantPhases := renderArtifacts(t, post)
-	gotReport, gotProf, gotPhases := renderArtifacts(t, lazy)
-	if !bytes.Equal(gotReport, wantReport) {
-		t.Errorf("seed %d: lazy report bytes differ from post-mortem (%d vs %d)",
-			seed, len(gotReport), len(wantReport))
-	}
-	if !bytes.Equal(gotProf, wantProf) {
-		t.Errorf("seed %d: lazy profile bytes differ from post-mortem (%d vs %d)",
-			seed, len(gotProf), len(wantProf))
-	}
-	if !bytes.Equal(gotPhases, wantPhases) {
-		t.Errorf("seed %d: lazy phase profile bytes differ from post-mortem (%d vs %d)",
-			seed, len(gotPhases), len(wantPhases))
-	}
-	if mm := CheckKernel(lazy.Report, kr.Program, kr.Scale, ExactTol); len(mm) != 0 {
-		t.Errorf("seed %d: lazy result fails the oracle: %v", seed, mm)
-	}
-}
-
 // TestKernelTruncationFails asserts the damaged-archive scenario does
 // what its expectation declares: measurement succeeds, the truncation
 // fault is applied, and analysis of the archive fails with an error
 // instead of silently producing numbers.
 func TestKernelTruncationFails(t *testing.T) {
 	t.Parallel()
-	for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-		kr, err := RunKernel("truncate", f, 1)
-		if err != nil {
-			t.Fatalf("%v: %v", f, err)
-		}
-		if !kr.Program.Expect.Err {
-			t.Fatalf("%v: truncate scenario compiled without Err expectation", f)
-		}
-		if _, err := kr.Exp.Analyze(vclock.Hierarchical); err == nil {
-			t.Errorf("%v: analyzing a truncated archive succeeded, want an error", f)
-		}
+	kr, err := RunKernel("truncate", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kr.Program.Expect.Err {
+		t.Fatal("truncate scenario compiled without Err expectation")
+	}
+	if _, err := kr.Exp.Analyze(vclock.Hierarchical); err == nil {
+		t.Error("analyzing a truncated archive succeeded, want an error")
 	}
 }
 
@@ -175,7 +124,7 @@ func TestKernelTruncationFails(t *testing.T) {
 // a conformant run against a perturbed expectation must mismatch.
 func TestKernelMutationSensitivity(t *testing.T) {
 	t.Parallel()
-	kr, err := RunKernel("masterworker", trace.FormatV2, 1, vclock.Hierarchical)
+	kr, err := RunKernel("masterworker", 1, vclock.Hierarchical)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,32 +25,35 @@ func phaseOracleKernels() []string {
 }
 
 // TestPhaseOracle is the per-iteration arm of the kernel oracle: for
-// every phase-oracle kernel, in both trace encodings, under every
-// synchronization scheme, phase detection must recover exactly the
-// kernel's aligned-step count, the detected period must divide the
-// per-iteration step count, and every (phase, family, metahost)
-// severity must equal the compiled per-step closed form. The lazy and
-// streamed paths are covered by the byte-identity assertions in
-// checkKernelLazy, TestStreamingKernelOracle, and TestStreamingOracle
+// every phase-oracle kernel, from its measured v2 archive and from its
+// checked-in v1 archive, under every synchronization scheme, phase
+// detection must recover exactly the kernel's aligned-step count, the
+// detected period must divide the per-iteration step count, and every
+// (phase, family, metahost) severity must equal the compiled per-step
+// closed form. The streamed path is covered by the byte-identity
+// assertions in TestStreamingKernelOracle and TestStreamingOracle
 // (renderArtifacts includes the phase profile).
 func TestPhaseOracle(t *testing.T) {
 	for _, name := range phaseOracleKernels() {
-		for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-			name, f := name, f
-			t.Run(name+"/"+f.String(), func(t *testing.T) {
+		for _, f := range archiveFormats {
+			name, v1 := name, f == "v1"
+			t.Run(name+"/"+f, func(t *testing.T) {
 				t.Parallel()
-				testPhaseOracle(t, name, f)
+				testPhaseOracle(t, name, v1)
 			})
 		}
 	}
 }
 
-func testPhaseOracle(t *testing.T, name string, f trace.Format) {
-	for _, seed := range oracleSeeds(t) {
-		kr, err := RunKernel(name, f, seed,
+func testPhaseOracle(t *testing.T, name string, v1 bool) {
+	for _, seed := range formatSeeds(t, name, v1) {
+		kr, err := RunKernel(name, seed,
 			vclock.FlatSingle, vclock.FlatInterp, vclock.Hierarchical)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if v1 {
+			reanalyzeV1(t, kr.Exp, name, seed, kr.Results)
 		}
 		prog := kr.Program
 		if len(prog.Expect.Steps) != prog.Phases() {
@@ -81,17 +84,15 @@ func testPhaseOracle(t *testing.T, name string, f trace.Format) {
 	}
 }
 
-// kernelPhases measures one library kernel under the given format and
-// returns the rendered phase-profile JSON of its analysis under cfg.
-// Title and seed are held fixed by the callers so the bytes are
-// comparable across runs.
-func kernelPhases(t *testing.T, name string, f trace.Format, seed int64, cfg replay.Config) []byte {
+// kernelPhases measures one library kernel and returns the rendered
+// phase-profile JSON of its analysis under cfg. Title and seed are held
+// fixed by the callers so the bytes are comparable across runs.
+func kernelPhases(t *testing.T, name string, seed int64, cfg replay.Config) []byte {
 	t.Helper()
 	prog, err := scenario.LoadLibrary(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Spec.Format = f
 	e, err := prog.Run("phase-det", seed)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +101,12 @@ func kernelPhases(t *testing.T, name string, f trace.Format, seed int64, cfg rep
 	if err != nil {
 		t.Fatal(err)
 	}
+	return phasesOf(t, traces, cfg)
+}
+
+// phasesOf analyzes traces under cfg and renders the phase profile.
+func phasesOf(t *testing.T, traces []*trace.Trace, cfg replay.Config) []byte {
+	t.Helper()
 	res, err := replay.Analyze(traces, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,20 +120,24 @@ func kernelPhases(t *testing.T, name string, f trace.Format, seed int64, cfg rep
 
 // TestPhaseDeterminism pins the phase profile as a deterministic
 // artifact: the same scenario and seed must render byte-identical
-// phase JSON under GOMAXPROCS=1 and the test default, and from a v1
-// and a v2 archive. Referenced by script/check.sh as a race-mode gate.
+// phase JSON under GOMAXPROCS=1 and the test default, and from the
+// checked-in v1 archive of the run and from its v2 re-encode.
+// Referenced by script/check.sh as a race-mode gate.
 func TestPhaseDeterminism(t *testing.T) {
 	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "phase-det"}
 	old := runtime.GOMAXPROCS(1)
-	one := kernelPhases(t, "halo2d", trace.FormatV2, 5, cfg)
+	one := kernelPhases(t, "halo2d", 5, cfg)
 	runtime.GOMAXPROCS(old)
-	want := kernelPhases(t, "halo2d", trace.FormatV2, 5, cfg)
+	want := kernelPhases(t, "halo2d", 5, cfg)
 	if !bytes.Equal(one, want) {
 		t.Errorf("phase profile bytes differ across GOMAXPROCS (%d vs %d)", len(one), len(want))
 	}
-	v1 := kernelPhases(t, "halo2d", trace.FormatV1, 5, cfg)
-	if !bytes.Equal(v1, want) {
-		t.Errorf("phase profile bytes differ between v1 and v2 archives (%d vs %d)", len(v1), len(want))
+	v1, v2 := v1Traces(t, "halo2d", 5)
+	if got := phasesOf(t, v1, cfg); !bytes.Equal(got, want) {
+		t.Errorf("phase profile bytes differ between the v1 archive and the measured run (%d vs %d)", len(got), len(want))
+	}
+	if got := phasesOf(t, v2, cfg); !bytes.Equal(got, want) {
+		t.Errorf("phase profile bytes differ between the v2 re-encode and the measured run (%d vs %d)", len(got), len(want))
 	}
 }
 
@@ -135,7 +146,7 @@ func TestPhaseDeterminism(t *testing.T) {
 // perturbed by 15% must mismatch.
 func TestPhaseOracleMutation(t *testing.T) {
 	t.Parallel()
-	kr, err := RunKernel("straggler", trace.FormatV2, 1, vclock.Hierarchical)
+	kr, err := RunKernel("straggler", 1, vclock.Hierarchical)
 	if err != nil {
 		t.Fatal(err)
 	}

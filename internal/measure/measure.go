@@ -62,11 +62,6 @@ type Config struct {
 	// Obs selects the observability recorder the runtime reports phase
 	// timings and counters into; nil selects obs.Default.
 	Obs *obs.Recorder
-	// TraceFormat selects the on-disk trace encoding. The zero value
-	// (trace.FormatDefault) selects the current default, the columnar
-	// v2; trace.FormatV1 writes the legacy row encoding. Readers
-	// autodetect either.
-	TraceFormat trace.Format
 }
 
 func (c *Config) filtered(name string) bool {
@@ -462,7 +457,7 @@ func (m *M) finalize() error {
 		return fmt.Errorf("measure: rank %d: creating trace file: %w", m.p.Rank(), err)
 	}
 	cw := &countingWriter{w: f}
-	if err := t.EncodeFormat(cw, m.rt.cfg.TraceFormat); err != nil {
+	if err := t.Encode(cw); err != nil {
 		return fmt.Errorf("measure: rank %d: encoding trace: %w", m.p.Rank(), err)
 	}
 	reg := m.rt.obs.Reg

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -43,32 +42,33 @@ func TestRuntimeSamplerNilStop(t *testing.T) {
 
 // TestRecorderCloseStopsSampler is the sampler-shutdown leak check
 // (the analogue of the replay package's goroutine-leak tests): a
-// sampler started through the recorder must not outlive Close.
+// sampler started through the recorder must not outlive Close. Each
+// sampler goroutine closes its own done channel on exit, so the check
+// watches exactly the recorder's samplers: every done channel is open
+// while they run and closed once Close returns, with no dependence on
+// unrelated goroutines elsewhere in the process.
 func TestRecorderCloseStopsSampler(t *testing.T) {
-	before := runtime.NumGoroutine()
 	rec := NewRecorder()
+	var samplers []*RuntimeSampler
 	for i := 0; i < 3; i++ {
-		rec.StartRuntimeSampler(time.Millisecond)
+		samplers = append(samplers, rec.StartRuntimeSampler(time.Millisecond))
 	}
 	time.Sleep(5 * time.Millisecond)
-	if running := runtime.NumGoroutine(); running < before+3 {
-		t.Fatalf("samplers not running: %d goroutines, had %d before", running, before)
+	for i, s := range samplers {
+		select {
+		case <-s.done:
+			t.Fatalf("sampler %d exited before Close", i)
+		default:
+		}
 	}
 	rec.Close()
 	rec.Close() // idempotent
-	// Stop() waits on the sampler's done channel, so the goroutines are
-	// gone when Close returns; poll briefly anyway to absorb unrelated
-	// runtime goroutines winding down.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			return
+	for i, s := range samplers {
+		select {
+		case <-s.done:
+		default:
+			t.Fatalf("sampler %d still running after Close returned", i)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler goroutines leaked after Close: %d goroutines, had %d before",
-				runtime.NumGoroutine(), before)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

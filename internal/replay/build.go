@@ -134,8 +134,8 @@ func (a *analyzer) result() (*Result, error) {
 	// strictly sequentially. Unlike the bucketed profile above there is
 	// no per-rank merge step: the fold is cheap (one map update per
 	// sample), and a single fixed addition order makes the artifact
-	// byte-identical across post-mortem, lazy, and streamed analysis
-	// and any GOMAXPROCS.
+	// byte-identical across post-mortem and streamed analysis and any
+	// GOMAXPROCS.
 	opLogs := make([][]phase.Op, len(a.results))
 	for i, rr := range a.results {
 		opLogs[i] = rr.opLog

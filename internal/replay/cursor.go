@@ -2,7 +2,6 @@ package replay
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"metascope/internal/trace"
@@ -14,20 +13,19 @@ import (
 // bookkeeping to one block handoff per few hundred KiB of trace.
 const liveLogStride = 1 << 12
 
-// rankLog is the append-only event log one analysis process sweeps.
-// Post-mortem analysis wraps the fully loaded trace in a closed log; a
-// live session appends events as upload chunks decode and closes the
-// log when the rank's stream finishes; a lazy log decodes v2 event
-// blocks on demand, straight out of the archive's backing byte image.
-// The sweep never sees a difference beyond *when* events become
-// visible, which is the whole trick behind byte-identical streaming
-// results: the worker's event order, and therefore every accumulator's
-// addition order, is the trace order either way.
+// rankLog is the append-only event log one analysis process sweeps. It
+// has two modes: post-mortem analysis wraps the fully loaded trace in a
+// closed log, and a live session appends events as upload chunks decode
+// and closes the log when the rank's stream finishes. The sweep never
+// sees a difference beyond *when* events become visible, which is the
+// whole trick behind byte-identical streaming results: the worker's
+// event order, and therefore every accumulator's addition order, is the
+// trace order either way.
 //
-// Every log stores its events in fixed-stride blocks. Appending and
-// lazy logs give each block its own allocation, so releaseBefore can
-// free the already-swept prefix — the bounded-memory window that lets
-// an archive larger than RAM stream through one analysis. An in-memory
+// Every log stores its events in fixed-stride blocks. An appending log
+// gives each block its own allocation, so releaseBefore can free the
+// already-swept prefix — the bounded-memory window that lets a live
+// upload larger than RAM stream through one analysis. An in-memory
 // trace is one closed block spanning the whole event slice, which the
 // sweep's frontier never passes, so nothing of it is released.
 type rankLog struct {
@@ -35,16 +33,10 @@ type rankLog struct {
 	cond    sync.Cond
 	closed  bool
 	aborted bool
-	err     error // lazy decode/validation failure, sticky
 
 	blocks [][]trace.Event
 	stride int
 	n      int // events visible to the sweep
-
-	// Lazy mode: blocks decode on demand from the reader.
-	lazy          *trace.BlockReader
-	val           *trace.StreamValidator
-	decodedBlocks int
 
 	// Memory accounting (events, not bytes: one Event is a fixed-size
 	// struct). resident counts events currently held in block storage;
@@ -81,31 +73,6 @@ func newClosedRankLog(events []trace.Event) *rankLog {
 	}
 	lg.closed = true
 	return lg
-}
-
-// newLazyRankLog wraps a v2 block reader: the log is closed (the event
-// count is declared up front), but blocks materialize only when the
-// sweep reaches them and are freed behind it. Events are validated as
-// they decode, with exactly the checks (*Trace).Validate applies to a
-// materialized trace.
-func newLazyRankLog(r *trace.BlockReader) (*rankLog, error) {
-	lg := &rankLog{
-		lazy:   r,
-		val:    trace.NewStreamValidator(r.Trace()),
-		stride: r.BlockSize(),
-		n:      r.Total(),
-		closed: true,
-	}
-	lg.cond.L = &lg.mu
-	lg.blocks = make([][]trace.Event, (lg.n+lg.stride-1)/lg.stride)
-	r.Reset()
-	if lg.n == 0 {
-		if t := r.Trailing(); t > 0 {
-			return nil, fmt.Errorf("trace %v: %d trailing byte(s) after 0 declared events",
-				r.Trace().Loc, t)
-		}
-	}
-	return lg, nil
 }
 
 // append publishes more events and wakes the sweeping worker. Events
@@ -175,8 +142,9 @@ func (lg *rankLog) wait(have int) (n int, closed, aborted bool) {
 // recvCount counts the Recv events of a closed log whose events are
 // all resident — every post-mortem log, and a live log whose stream
 // ended before its sweep began — which lets the worker pre-size its
-// receive log. Lazy and open logs return ok=false: counting would force
-// undecoded blocks resident, or wait for events still in flight.
+// receive log. Any other log returns ok=false: an open one would have
+// to wait for events still in flight, and a released prefix can no
+// longer be counted.
 func (lg *rankLog) recvCount() (int, bool) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
@@ -195,8 +163,8 @@ func (lg *rankLog) recvCount() (int, bool) {
 }
 
 // bounds returns the raw first/last event times the log has seen.
-// Valid for a closed or lazy log immediately, and for a live log once
-// every chunk was appended; the analyzer reads it after the sweep.
+// Valid for a closed log immediately, and for a live log once every
+// chunk was appended; the analyzer reads it after the sweep.
 func (lg *rankLog) bounds() (first, last float64, ok bool) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
@@ -212,87 +180,20 @@ func (lg *rankLog) residentEvents() (resident, peak int) {
 }
 
 // window returns the block slice containing event i plus the global
-// index of its first element, decoding lazy blocks on demand. The
-// returned slice is stable: a live append extends the same backing
-// array without moving published elements.
-func (lg *rankLog) window(i int) ([]trace.Event, int, error) {
+// index of its first element. The returned slice is stable: a live
+// append extends the same backing array without moving published
+// elements.
+func (lg *rankLog) window(i int) ([]trace.Event, int) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	k := i / lg.stride
-	if lg.lazy != nil {
-		if err := lg.decodeToLocked(k); err != nil {
-			return nil, 0, err
-		}
-	}
 	blk := lg.blocks[k]
 	if blk == nil {
 		// The single-reader discipline (release only below the sweep
 		// frontier) makes this unreachable; a hit is a replay bug.
 		panic(fmt.Sprintf("replay: rank log block %d used after release", k))
 	}
-	return blk, k * lg.stride, nil
-}
-
-// decodeToLocked materializes lazy blocks up to and including index k.
-// Decoded events are validated in stream order; the final block also
-// checks the end-of-trace invariants (balanced regions, no trailing
-// bytes) that a one-shot decode enforces eagerly.
-func (lg *rankLog) decodeToLocked(k int) error {
-	if lg.err != nil {
-		return lg.err
-	}
-	for lg.decodedBlocks <= k {
-		buf := make([]trace.Event, lg.stride)
-		n, err := lg.lazy.Next(buf)
-		if err == io.EOF {
-			err = fmt.Errorf("trace %v: blocks ended after %d of %d declared events: %w",
-				lg.lazy.Trace().Loc, lg.decodedBlocks*lg.stride, lg.n, io.ErrUnexpectedEOF)
-		}
-		if err != nil {
-			lg.err = err
-			return err
-		}
-		last := lg.decodedBlocks == len(lg.blocks)-1
-		if !last && n != lg.stride {
-			// Fixed-stride indexing depends on every non-final block
-			// being full, which the encoder guarantees; a short inner
-			// block is a corrupt image.
-			lg.err = fmt.Errorf("trace %v: block %d holds %d events, want %d",
-				lg.lazy.Trace().Loc, lg.decodedBlocks, n, lg.stride)
-			return lg.err
-		}
-		for i := 0; i < n; i++ {
-			if err := lg.val.Event(&buf[i]); err != nil {
-				lg.err = err
-				return err
-			}
-		}
-		if n > 0 {
-			if !lg.haveTime {
-				lg.haveTime = true
-				lg.firstTime = buf[0].Time
-			}
-			lg.lastTime = buf[n-1].Time
-		}
-		lg.blocks[lg.decodedBlocks] = buf[:n:n]
-		lg.decodedBlocks++
-		lg.resident += n
-		if lg.resident > lg.maxResident {
-			lg.maxResident = lg.resident
-		}
-		if last {
-			if err := lg.val.Close(); err != nil {
-				lg.err = err
-				return err
-			}
-			if t := lg.lazy.Trailing(); t > 0 {
-				lg.err = fmt.Errorf("trace %v: %d trailing byte(s) after %d declared events",
-					lg.lazy.Trace().Loc, t, lg.n)
-				return lg.err
-			}
-		}
-	}
-	return nil
+	return blk, k * lg.stride
 }
 
 // releaseBefore frees every block that lies entirely below event index
@@ -324,7 +225,6 @@ type sweepCursor struct {
 	n       int // visible-event count last observed
 	closed  bool
 	aborted bool
-	err     error // lazy decode failure surfaced through ev
 
 	stride int
 	next   int // first event index past the block the frontier is in
@@ -350,21 +250,13 @@ func (sc *sweepCursor) at(i int) bool {
 	return true
 }
 
-// ev returns event i, which at(i) must have admitted. A nil result
-// means the log failed to materialize the event (a lazy decode or
-// validation error); the cause is in sc.err and is the same error the
-// post-mortem validator would have reported for the same bytes.
+// ev returns event i, which at(i) must have admitted.
 func (sc *sweepCursor) ev(i int) *trace.Event {
 	if off := i - sc.base; off >= 0 && off < len(sc.blk) {
 		return &sc.blk[off]
 	}
-	blk, base, err := sc.lg.window(i)
-	if err != nil {
-		sc.err = err
-		return nil
-	}
-	sc.blk, sc.base = blk, base
-	return &sc.blk[i-base]
+	sc.blk, sc.base = sc.lg.window(i)
+	return &sc.blk[i-sc.base]
 }
 
 // release frees the log's blocks below the sweep frontier i. Called

@@ -9,8 +9,8 @@ import (
 // TestClosedRankLogIsOneBlock: an in-memory trace's log is one closed
 // block aliasing the trace's event slice — no copy — that a full sweep
 // reads in place and never releases. Its receive count is exact up
-// front; lazy and open (live) logs report not-countable instead, since
-// counting would force their blocks resident or wait on the stream.
+// front; an open (live) log reports not-countable instead, since
+// counting would wait on the stream.
 func TestClosedRankLogIsOneBlock(t *testing.T) {
 	tr := bigPingPong(3000)[1]
 	n := len(tr.Events)
@@ -46,17 +46,6 @@ func TestClosedRankLogIsOneBlock(t *testing.T) {
 		t.Errorf("closed log recvCount = (%d, %v), want (%d, true)", got, ok, want)
 	}
 
-	r, err := trace.NewBlockReader(encodeV2Bytes(t, tr), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := newLazyRankLog(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lazy.recvCount(); ok {
-		t.Error("lazy log reports a receive count")
-	}
 	open := newRankLog()
 	open.append(tr.Events)
 	if _, ok := open.recvCount(); ok {

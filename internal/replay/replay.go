@@ -173,47 +173,6 @@ func LoadArchiveObs(mounts *archive.Mounts, metahosts []int, dir string, rec *ob
 // the first-error race still takes precedence, keeping the reported
 // error deterministic).
 func LoadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder) ([]*trace.Trace, error) {
-	out, _, err := loadArchiveCtx(ctx, mounts, metahosts, dir, rec, false)
-	return out, err
-}
-
-// LazyArchive is an archive loaded header-only: every v2 trace file's
-// byte image is kept whole and its events decode block by block during
-// the analysis sweep, directly out of the backing slice. V1 ranks
-// (mixed archives are legal) fall back to full materialization. A
-// LazyArchive is reusable across sequential analyses but not
-// concurrent ones — the block readers are stateful.
-type LazyArchive struct {
-	// Traces holds every rank's decoded header (location, sync block,
-	// regions, communicators). For a v2 rank Events is nil; the events
-	// live in the backing image until the sweep reaches them.
-	Traces []*trace.Trace
-
-	readers []*trace.BlockReader // per rank; nil = v1, fully decoded
-}
-
-// LoadArchiveLazy reads an experiment's trace files but defers v2
-// event decoding to the analysis sweep: each file is one read into one
-// buffer, and only the header is parsed up front. Combined with
-// AnalyzeLazy this both makes loading I/O-bound (the per-event decode
-// cost moves into the parallel sweep) and bounds analysis memory —
-// swept blocks are released, so an archive larger than RAM streams
-// through.
-func LoadArchiveLazy(mounts *archive.Mounts, metahosts []int, dir string) (*LazyArchive, error) {
-	return LoadArchiveLazyCtx(context.Background(), mounts, metahosts, dir, nil)
-}
-
-// LoadArchiveLazyCtx is LoadArchiveLazy honoring ctx and reporting
-// ingestion telemetry into rec (nil selects obs.Default).
-func LoadArchiveLazyCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder) (*LazyArchive, error) {
-	out, readers, err := loadArchiveCtx(ctx, mounts, metahosts, dir, rec, true)
-	if err != nil {
-		return nil, err
-	}
-	return &LazyArchive{Traces: out, readers: readers}, nil
-}
-
-func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder, lazy bool) ([]*trace.Trace, []*trace.BlockReader, error) {
 	rec = obs.OrDefault(rec)
 	m := newIngestMetrics(rec)
 	span := rec.Phases.Start("ingest")
@@ -233,7 +192,7 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 		seen[fs] = true
 		names, err := fs.List(dir)
 		if err != nil {
-			return nil, nil, fmt.Errorf("replay: listing archive %q: %w", dir, err)
+			return nil, fmt.Errorf("replay: listing archive %q: %w", dir, err)
 		}
 		for _, name := range names {
 			rank, ok := traceRank(name)
@@ -241,19 +200,19 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 				continue
 			}
 			if ranks[rank] {
-				return nil, nil, fmt.Errorf("replay: duplicate trace for rank %d", rank)
+				return nil, fmt.Errorf("replay: duplicate trace for rank %d", rank)
 			}
 			ranks[rank] = true
 			items = append(items, loadItem{fs: fs, name: name, rank: rank})
 		}
 	}
 	if len(items) == 0 {
-		return nil, nil, fmt.Errorf("replay: archive %q contains no trace files", dir)
+		return nil, fmt.Errorf("replay: archive %q contains no trace files", dir)
 	}
 	for rank := range ranks {
 		// No duplicates and every rank inside 0..n-1 imply density.
 		if rank < 0 || rank >= len(items) {
-			return nil, nil, fmt.Errorf("replay: rank %d outside dense range 0..%d (missing trace)",
+			return nil, fmt.Errorf("replay: rank %d outside dense range 0..%d (missing trace)",
 				rank, len(items)-1)
 		}
 	}
@@ -271,7 +230,6 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 
 	var (
 		out       = make([]*trace.Trace, len(items))
-		readers   []*trace.BlockReader
 		intern    = trace.NewInterner()
 		errs      = make([]error, len(items))
 		next      atomic.Int64
@@ -280,9 +238,6 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 		decoded   atomic.Int64
 		wg        sync.WaitGroup
 	)
-	if lazy {
-		readers = make([]*trace.BlockReader, len(items))
-	}
 	minErr.Store(int64(len(items)))
 	decodeOne := func(i int) error {
 		it := items[i]
@@ -291,21 +246,9 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 			return fmt.Errorf("replay: opening %s: %w", it.name, err)
 		}
 		bytesRead.Add(int64(len(data)))
-		var t *trace.Trace
-		if f, ferr := trace.FormatOf(data); lazy && ferr == nil && f == trace.FormatV2 {
-			// Lazy fast path: parse the header, keep the image. The
-			// events stay encoded until the sweep wants them.
-			r, err := trace.NewBlockReader(data, intern)
-			if err != nil {
-				return fmt.Errorf("replay: decoding %s: %w", it.name, err)
-			}
-			readers[it.rank] = r
-			t = r.Trace()
-		} else {
-			t, err = trace.DecodeBytesInterned(data, intern)
-			if err != nil {
-				return fmt.Errorf("replay: decoding %s: %w", it.name, err)
-			}
+		t, err := trace.DecodeBytesInterned(data, intern)
+		if err != nil {
+			return fmt.Errorf("replay: decoding %s: %w", it.name, err)
 		}
 		if t.Loc.Rank != it.rank {
 			return fmt.Errorf("replay: %s contains trace of rank %d", it.name, t.Loc.Rank)
@@ -351,15 +294,15 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 	m.traces.Add(float64(decoded.Load()))
 	m.bytes.Add(float64(bytesRead.Load()))
 	if idx := minErr.Load(); idx < int64(len(items)) {
-		return nil, nil, errs[idx]
+		return nil, errs[idx]
 	}
 	if ctxCancelled.Load() {
-		return nil, nil, fmt.Errorf("replay: archive load aborted: %w", context.Cause(ctx))
+		return nil, fmt.Errorf("replay: archive load aborted: %w", context.Cause(ctx))
 	}
 	rec.Log.Debug("archive loaded", "dir", dir, "traces", len(items),
-		"bytes", bytesRead.Load(), "pool_width", width, "lazy", lazy,
+		"bytes", bytesRead.Load(), "pool_width", width,
 		"seconds", fmt.Sprintf("%.3f", time.Since(start).Seconds()))
-	return out, readers, nil
+	return out, nil
 }
 
 // ingestMetrics pre-registers the archive-ingestion metric families so
@@ -496,26 +439,6 @@ func Analyze(traces []*trace.Trace, cfg Config) (*Result, error) {
 // error (errors.Is-compatible with context.Canceled and
 // context.DeadlineExceeded).
 func AnalyzeContext(ctx context.Context, traces []*trace.Trace, cfg Config) (*Result, error) {
-	return analyzeCtx(ctx, traces, nil, cfg)
-}
-
-// AnalyzeLazy analyzes a lazily loaded archive: v2 ranks decode their
-// event blocks on demand during the sweep and release them behind it,
-// so peak analysis memory is bounded by the sweep window rather than
-// the archive size. The produced report, profile, and counters are
-// byte-identical to Analyze over the fully materialized traces — lazy
-// block validation applies the same checks at the same events.
-func AnalyzeLazy(ar *LazyArchive, cfg Config) (*Result, error) {
-	return AnalyzeLazyContext(context.Background(), ar, cfg)
-}
-
-// AnalyzeLazyContext is AnalyzeLazy honoring ctx, with AnalyzeContext's
-// cancellation behavior.
-func AnalyzeLazyContext(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, error) {
-	return analyzeCtx(ctx, ar.Traces, ar.readers, cfg)
-}
-
-func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.BlockReader, cfg Config) (*Result, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("replay: no traces")
 	}
@@ -537,13 +460,7 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 
 	logs := make([]*rankLog, len(traces))
 	for i, t := range traces {
-		if i < len(readers) && readers[i] != nil {
-			if logs[i], err = newLazyRankLog(readers[i]); err != nil {
-				return nil, err
-			}
-		} else {
-			logs[i] = newClosedRankLog(t.Events)
-		}
+		logs[i] = newClosedRankLog(t.Events)
 	}
 	a, err := newAnalyzer(traces, corr, logs, cfg)
 	if err != nil {
@@ -610,7 +527,7 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 // bucket width covering the span with ~6% headroom so neither the last
 // event nor moderate timestamp repairs force a bucket fold. The span
 // is read from the rank logs' time bounds — not the traces' event
-// slices, which lazy and live analyses never materialize — so the axis
+// slices, which a live analysis never materializes — so the axis
 // depends only on the events and corrections, and two analyses of the
 // same archive profile onto identical intervals regardless of mode.
 func profileConfig(logs []*rankLog, corr []vclock.LinearMap, cfg Config) profile.Config {
@@ -731,23 +648,16 @@ func (r *Result) FormatCommMatrix() string {
 	return b.String()
 }
 
-// TraceSizes returns every trace's encoded size in bytes — what
-// merging-based analysis would have to copy between metahosts. The
-// comparison with Result.ReplayBytes quantifies §4's argument for
-// replay-based parallel analysis.
+// TraceSizes returns every trace's encoded size in bytes, in the v2
+// encoding the archive holds on disk — what merging-based analysis
+// would have to copy between metahosts. The comparison with
+// Result.ReplayBytes quantifies §4's argument for replay-based
+// parallel analysis.
 func TraceSizes(traces []*trace.Trace) ([]int64, error) {
-	return TraceSizesFormat(traces, trace.FormatV1)
-}
-
-// TraceSizesFormat is TraceSizes for an explicit encoding format, so
-// the v1-vs-v2 footprint comparison uses the same yardstick as the
-// archive on disk. FormatDefault selects the current default writer
-// format.
-func TraceSizesFormat(traces []*trace.Trace, f trace.Format) ([]int64, error) {
 	out := make([]int64, len(traces))
 	for i, t := range traces {
 		var cw countingWriter
-		if err := t.EncodeFormat(&cw, f); err != nil {
+		if err := t.Encode(&cw); err != nil {
 			return nil, err
 		}
 		out[i] = cw.n

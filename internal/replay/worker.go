@@ -327,9 +327,8 @@ type analyzer struct {
 	cfg    Config
 
 	// logs hold the per-rank event streams the workers sweep. Post-
-	// mortem they are closed over the loaded (or lazily decoded) traces
-	// before run(); a live session passes open logs that fill as chunks
-	// land.
+	// mortem they are closed over the loaded traces before run(); a live
+	// session passes open logs that fill as chunks land.
 	logs []*rankLog
 	// sink, when non-nil, receives every scored severity as a windowed
 	// delta for the live stream (nil post-mortem: one branch per score).
@@ -371,8 +370,8 @@ type analyzer struct {
 	cause     error
 }
 
-// newAnalyzer is the one setup path of every driver — post-mortem,
-// lazy, and live analysis differ only in the rank logs they pass. It
+// newAnalyzer is the one setup path of both drivers — post-mortem and
+// live analysis differ only in the rank logs they pass. It
 // applies the Config defaults, reports the correction set, merges and
 // checks the communicator definitions, and wires the per-rank mailboxes
 // and collective domains around the given logs.
@@ -552,8 +551,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	// One receive-log entry is appended per Recv event; when the whole
 	// log is already resident (post-mortem), sizing it exactly up front
 	// avoids the doubling reallocations that dominated the analyzer's
-	// allocation profile. Lazy and still-open logs skip this (see
-	// recvCount).
+	// allocation profile. Still-open logs skip this (see recvCount).
 	if nrecv, ok := a.logs[rank].recvCount(); ok {
 		rr.recvLog = make([]recvInfo, 0, nrecv)
 	}
@@ -601,17 +599,9 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			return rr
 		}
 		// Blocks entirely behind the frontier will never be read again;
-		// releasing them is what bounds a lazy or live sweep's memory.
+		// releasing them is what bounds a live sweep's memory.
 		sc.release(i)
 		ev := sc.ev(i)
-		if ev == nil {
-			// A lazy block failed to decode or validate. The fault is
-			// this rank's alone, but peers blocked on our sends must
-			// unwind too.
-			rr.err = sc.err
-			a.abortWith(sc.err)
-			return rr
-		}
 		ct := corr.Apply(ev.Time) + delta
 		if a.progress != nil {
 			a.progress[rank].Store(math.Float64bits(ct))
@@ -654,13 +644,9 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			top := stack[len(stack)-1]
 			exitT, ok := regionExitTime(sc, i, corr, delta)
 			if !ok {
-				switch {
-				case sc.err != nil:
-					rr.err = sc.err
-					a.abortWith(sc.err)
-				case sc.aborted:
+				if sc.aborted {
 					rr.err = a.cancelErr(rank)
-				default:
+				} else {
 					rr.err = fmt.Errorf("replay: rank %d: unterminated MPI region at event %d", rank, i)
 				}
 				return rr
@@ -850,9 +836,6 @@ func regionExitTime(sc *sweepCursor, i int, corr vclock.LinearMap, delta float64
 	depth := 0
 	for j := i + 1; sc.at(j); j++ {
 		e := sc.ev(j)
-		if e == nil {
-			return 0, false // decode failed; the cause is in sc.err
-		}
 		switch e.Kind {
 		case trace.KindEnter:
 			depth++

@@ -466,8 +466,7 @@ func (sp *Spec) buildTopology() (*topology.Metacomputer, *topology.Placement, er
 
 // NewExperiment builds (but does not run) a measured experiment for
 // the program: fresh topology and placement, route asymmetry disabled
-// unless the scenario opts in, cross-traffic bursts installed, and
-// the scenario's trace format selected.
+// unless the scenario opts in, and cross-traffic bursts installed.
 func (p *Program) NewExperiment(title string, seed int64) (*metascope.Experiment, error) {
 	sp := p.Spec
 	topo, place, err := sp.buildTopology()
@@ -478,7 +477,6 @@ func (p *Program) NewExperiment(title string, seed int64) (*metascope.Experiment
 	if !sp.Topology.Asymmetry {
 		e.AsymFrac = -1
 	}
-	e.TraceFormat = sp.Format
 	if bursts := sp.Faults.CrossTraffic; len(bursts) > 0 {
 		bs := append([]BurstSpec(nil), bursts...)
 		e.CrossTraffic = func(now float64, class topology.LinkClass) float64 {
@@ -630,8 +628,8 @@ func (p *Program) RankMetahost(r int) int { return p.locs[r].Metahost }
 func (p *Program) Describe() string {
 	sp := p.Spec
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %q: kernel %s, %d ranks, %d iterations, seed %d, format %s\n",
-		sp.Name, sp.Kernel, sp.Ranks, sp.Iterations, sp.Seed, sp.Format)
+	fmt.Fprintf(&b, "scenario %q: kernel %s, %d ranks, %d iterations, seed %d\n",
+		sp.Name, sp.Kernel, sp.Ranks, sp.Iterations, sp.Seed)
 	if len(sp.Topology.Metahosts) > 0 {
 		fmt.Fprintf(&b, "topology: custom, %d metahosts\n", len(sp.Topology.Metahosts))
 	} else {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"metascope/internal/trace"
 )
 
 // Hard limits keeping compiled scenarios bounded whatever the input —
@@ -199,17 +197,6 @@ func decodeSpec(root *node) (*Spec, error) {
 	}
 	if sp.Seed, err = o.i64("seed", 1); err != nil {
 		return nil, err
-	}
-	fstr, err := o.str("format", "")
-	if err != nil {
-		return nil, err
-	}
-	if fstr != "" {
-		f, ferr := trace.ParseFormat(fstr)
-		if ferr != nil {
-			return nil, errAt(root.line, "format", "%v", ferr)
-		}
-		sp.Format = f
 	}
 	if sp.Ranks, err = o.i("ranks", 0); err != nil {
 		return nil, err

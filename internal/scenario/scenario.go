@@ -23,8 +23,6 @@ package scenario
 
 import (
 	"fmt"
-
-	"metascope/internal/trace"
 )
 
 // Error is a structured scenario error: where in the document it was
@@ -75,7 +73,6 @@ type Spec struct {
 	Name       string
 	Kernel     string
 	Seed       int64
-	Format     trace.Format
 	Ranks      int
 	Iterations int
 	Bytes      int // p2p payload; must stay under the eager limit

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"metascope/internal/conformance"
 	"metascope/internal/replay"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
@@ -262,6 +263,42 @@ func TestSessionLifecycle(t *testing.T) {
 	code, page := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/live")
 	if code != http.StatusOK || !strings.Contains(string(page), "EventSource") {
 		t.Errorf("live view HTTP %d", code)
+	}
+}
+
+// TestSessionV1Upload: a live session accepts a rank stream in the v1
+// encoding — genuine v1 bytes from a checked-in archive — and its result
+// is byte-identical to the post-mortem analysis of the same bytes.
+func TestSessionV1Upload(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, StreamTick: 5 * time.Millisecond})
+	blobs, ok, err := conformance.V1Archive("late-sender-grid", 1)
+	if err != nil || !ok {
+		t.Fatalf("v1 archive: ok=%v err=%v", ok, err)
+	}
+	traces := make([]*trace.Trace, len(blobs))
+	for r, b := range blobs {
+		if traces[r], err = trace.DecodeBytes(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	title := "v1 upload"
+	st := openSession(t, ts.URL, fmt.Sprintf("?ranks=%d&scheme=hier&title=%s", len(blobs), strings.ReplaceAll(title, " ", "+")))
+	uploadSession(t, ts.URL, st.ID, traces, blobs, 31)
+	if final := finalizeSession(t, ts.URL, st.ID); final.State != "done" {
+		t.Fatalf("finalized state %q (err %q), want done", final.State, final.Error)
+	}
+	post, err := replay.Analyze(traces, replay.Config{Scheme: vclock.Hierarchical, Title: title})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	post.Report.Write(&want)
+	code, got := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result: HTTP %d", code)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("streamed report from v1 uploads differs from post-mortem (%d vs %d bytes)", len(got), want.Len())
 	}
 }
 

@@ -43,7 +43,7 @@ type ChunkDecoder struct {
 	blockBuf  []Event // reusable block decode buffer
 
 	// Incremental Validate state.
-	val *StreamValidator
+	val *streamValidator
 
 	err error // sticky: first fatal error ends the stream
 }
@@ -89,7 +89,7 @@ func (c *ChunkDecoder) Feed(data []byte) ([]Event, error) {
 		c.t = t
 		c.declared = ne
 		c.version = d.version
-		c.val = NewStreamValidator(t)
+		c.val = newStreamValidator(t)
 		c.buf = c.buf[:copy(c.buf, c.buf[d.pos:])]
 	}
 
@@ -185,6 +185,11 @@ func (c *ChunkDecoder) Finish() (*Trace, error) {
 	if c.t == nil {
 		c.err = fmt.Errorf("trace: stream ended inside the header (%d bytes): %w",
 			c.fed, io.ErrUnexpectedEOF)
+		return nil, c.err
+	}
+	if c.version == formatVersion2 && c.blockSize == 0 {
+		c.err = fmt.Errorf("trace %v: stream ended before its block size: %w",
+			c.t.Loc, io.ErrUnexpectedEOF)
 		return nil, c.err
 	}
 	if c.decoded < c.declared {

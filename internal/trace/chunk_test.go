@@ -2,21 +2,21 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// encodeSample returns the sample trace's full MSCP encoding.
+// encodeSample returns the sample trace's checked-in v1 image, so the
+// chunk decoder's row-stream path keeps running on genuine v1 bytes;
+// the v2 tests below encode their own traces.
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sampleTrace().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return frozenV1Seeds(t)[0]
 }
 
 // feedAll pushes data through a ChunkDecoder in the given chunk sizes
@@ -175,57 +175,110 @@ func TestChunkDecoderRejectsCorruption(t *testing.T) {
 		}
 	})
 
+	// The validation faults below are planted in both formats: the v2
+	// image is encoded from a faulty trace, the v1 image is the
+	// checked-in sample with the same fault patched into its bytes.
 	t.Run("non-monotone time", func(t *testing.T) {
-		tr := sampleTrace()
-		tr.Events[5].Time = 0.5 // before its predecessor
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		c := NewChunkDecoder(nil)
-		_, err := c.Feed(buf.Bytes())
-		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("before predecessor")) {
-			t.Fatalf("err = %v, want monotone-time violation", err)
-		}
-		// Same fault post-mortem: Validate on the one-shot decode.
-		got, derr := DecodeBytes(buf.Bytes())
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		if verr := got.Validate(); verr == nil || verr.Error() != err.Error() {
-			t.Fatalf("streamed error %q != post-mortem Validate %q", err, verr)
+		images := corruptSample(t, func(tr *Trace) {
+			tr.Events[5].Time = 0.5 // before its predecessor
+		}, func(img []byte, _ int, ev []int) []byte {
+			binary.LittleEndian.PutUint64(img[ev[5]+1:], math.Float64bits(0.5))
+			return img
+		})
+		for name, img := range images {
+			c := NewChunkDecoder(nil)
+			_, err := c.Feed(img)
+			if err == nil || !bytes.Contains([]byte(err.Error()), []byte("before predecessor")) {
+				t.Fatalf("%s: err = %v, want monotone-time violation", name, err)
+			}
+			// Same fault post-mortem: Validate on the one-shot decode.
+			got, derr := DecodeBytes(img)
+			if derr != nil {
+				t.Fatal(derr)
+			}
+			if verr := got.Validate(); verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("%s: streamed error %q != post-mortem Validate %q", name, err, verr)
+			}
 		}
 	})
 
 	t.Run("unknown region", func(t *testing.T) {
-		tr := sampleTrace()
-		tr.Events[0].Region = 99
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		c := NewChunkDecoder(nil)
-		if _, err := c.Feed(buf.Bytes()); err == nil {
-			t.Fatal("unknown region accepted")
+		images := corruptSample(t, func(tr *Trace) {
+			tr.Events[0].Region = 99
+		}, func(img []byte, _ int, ev []int) []byte {
+			img[ev[0]+9] = 99 // Enter: kind byte, 8-byte time, region varint
+			return img
+		})
+		for name, img := range images {
+			c := NewChunkDecoder(nil)
+			if _, err := c.Feed(img); err == nil {
+				t.Fatalf("%s: unknown region accepted", name)
+			}
 		}
 	})
 
 	t.Run("unbalanced exit", func(t *testing.T) {
-		tr := sampleTrace()
-		tr.Events = tr.Events[:len(tr.Events)-1] // drop final Exit
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		c := NewChunkDecoder(nil)
-		if _, err := c.Feed(buf.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Finish(); err == nil ||
-			!bytes.Contains([]byte(err.Error()), []byte("unclosed region")) {
-			t.Fatalf("err = %v, want unclosed-region error", err)
+		images := corruptSample(t, func(tr *Trace) {
+			tr.Events = tr.Events[:len(tr.Events)-1] // drop final Exit
+		}, func(img []byte, count int, ev []int) []byte {
+			img[count]-- // one-byte event count
+			return img[:ev[len(ev)-1]]
+		})
+		for name, img := range images {
+			c := NewChunkDecoder(nil)
+			if _, err := c.Feed(img); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if _, err := c.Finish(); err == nil ||
+				!bytes.Contains([]byte(err.Error()), []byte("unclosed region")) {
+				t.Fatalf("%s: err = %v, want unclosed-region error", name, err)
+			}
 		}
 	})
+}
+
+// corruptSample returns the sample trace with one fault planted, keyed
+// by format: "v2" encodes the trace after mutate, "v1" applies patch to
+// the checked-in v1 image, given the offset of its event-count varint
+// and the start offset of every event.
+func corruptSample(t *testing.T, mutate func(*Trace), patch func(img []byte, count int, ev []int) []byte) map[string][]byte {
+	t.Helper()
+	tr := sampleTrace()
+	mutate(tr)
+	var v2 bytes.Buffer
+	if err := tr.Encode(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v1 := encodeSample(t)
+	d := &decoder{data: v1}
+	_, ne, err := decodeHeader(d)
+	if err != nil || d.version != formatVersion || ne >= 0x80 {
+		t.Fatalf("sample v1 image: version %d, %d events, %v", d.version, ne, err)
+	}
+	count := d.pos - 1
+	ev := make([]int, ne)
+	var e Event
+	for i := range ev {
+		ev[i] = d.pos
+		if err := decodeEvent(d, i, &e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1 = patch(v1, count, ev)
+	// The patch must plant exactly the mutation: both images decode
+	// (decoding does not validate) to the same faulty trace.
+	d1, err := DecodeBytes(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := DecodeBytes(v2.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !traceBitEqual(d1, d2) {
+		t.Fatal("patched v1 image does not decode to the mutated trace")
+	}
+	return map[string][]byte{"v1": v1, "v2": v2.Bytes()}
 }
 
 // validTrace returns a Validate-clean trace of about ne events built on
@@ -282,6 +335,17 @@ func TestChunkDecoderV2MatchesOneShot(t *testing.T) {
 }
 
 func TestChunkDecoderV2Truncation(t *testing.T) {
+	// A trace without events still carries its block size; a stream
+	// that ends right before it is truncated, as in the one-shot decode.
+	empty := encodeV2Bytes(t, &Trace{Loc: Location{MetahostName: "x"}}, 16)
+	c := NewChunkDecoder(nil)
+	if _, err := c.Feed(empty[:len(empty)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Finish(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("stream without its block size: Finish err = %v, want io.ErrUnexpectedEOF", err)
+	}
+
 	data := encodeV2Bytes(t, validTrace(100), 16)
 	for cut := 0; cut < len(data); cut += 7 {
 		c := NewChunkDecoder(nil)

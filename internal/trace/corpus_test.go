@@ -15,13 +15,34 @@ var updateCorpus = flag.Bool("update", false, "regenerate the checked-in fuzz se
 
 const corpusRoot = "testdata/fuzz"
 
-// corpusSets is the checked-in seed corpus per fuzz target: every
-// encoder path in both formats plus the malformed shapes the decoders
-// must reject cleanly. The entries are deterministic, so the corpus
-// regenerates byte-identically.
+// frozenV1 names the checked-in v1 images of seedTraces, in order.
+// The v1 writer is retired, so these corpus files are the package's
+// only source of v1 bytes: tests read them and never regenerate them.
+var frozenV1 = []string{"valid-sample", "valid-minimal", "valid-p2p"}
+
+// frozenV1Seeds returns the frozen v1 images, indexed like seedTraces.
+func frozenV1Seeds(t testing.TB) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(frozenV1))
+	for i, name := range frozenV1 {
+		raw, err := os.ReadFile(filepath.Join(corpusRoot, "FuzzDecode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = unmarshalCorpus(raw); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return out
+}
+
+// corpusSets is the checked-in seed corpus per fuzz target: the frozen
+// v1 images, the v2 encodings of the same traces, and the malformed
+// shapes the decoders must reject cleanly. Every entry is derived
+// deterministically, so the corpus regenerates byte-identically.
 func corpusSets(t testing.TB) map[string]map[string][]byte {
 	t.Helper()
-	enc := encodedSeeds(t)
+	enc := frozenV1Seeds(t)
 	enc2 := encodedV2Seeds(t)
 	return map[string]map[string][]byte{
 		"FuzzDecode": {
@@ -77,14 +98,26 @@ func unmarshalCorpus(raw []byte) ([]byte, error) {
 	return []byte(s), nil
 }
 
-// TestFuzzSeedCorpus keeps the checked-in corpora honest: with -update
-// it regenerates the files for all three fuzz targets; without, it
-// verifies every file parses, matches the expected set, and satisfies
-// the shared fuzz invariant (anything a decoder accepts survives a
-// re-encode round trip in both formats). The Go tool additionally feeds
+// TestFuzzSeedCorpus keeps the checked-in corpora honest: the frozen v1
+// images must decode to the traces they were written from; with
+// -update it regenerates the files for all three fuzz targets; without,
+// it verifies every file parses, matches the expected set, and
+// satisfies the shared fuzz invariant (anything a decoder accepts
+// survives an encode/decode round trip). The Go tool additionally feeds
 // these files to their targets during plain `go test`, so the corpora
 // double as the CI fuzz smoke.
 func TestFuzzSeedCorpus(t *testing.T) {
+	for i, img := range frozenV1Seeds(t) {
+		if f, err := FormatOf(img); err != nil || f != FormatV1 {
+			t.Errorf("%s: FormatOf = %v, %v; want v1", frozenV1[i], f, err)
+		}
+		tr, err := DecodeBytes(img)
+		if err != nil {
+			t.Errorf("%s: %v", frozenV1[i], err)
+		} else if !traceBitEqual(tr, seedTraces()[i]) {
+			t.Errorf("%s does not decode to seedTraces()[%d]", frozenV1[i], i)
+		}
+	}
 	for target, want := range corpusSets(t) {
 		t.Run(target, func(t *testing.T) {
 			dir := filepath.Join(corpusRoot, target)
@@ -120,20 +153,20 @@ func TestFuzzSeedCorpus(t *testing.T) {
 					}
 				}
 				// The fuzz invariant, inline: accepted inputs must
-				// round-trip through both encoders.
+				// round-trip through the encoder.
 				tr, err := DecodeBytes(data)
 				if err != nil {
 					continue
 				}
-				for _, format := range []Format{FormatV1, FormatV2} {
-					var buf bytes.Buffer
-					if err := tr.EncodeFormat(&buf, format); err != nil {
-						t.Errorf("%s: decoded trace failed to re-encode as %v: %v", f.Name(), format, err)
-						continue
-					}
-					if _, err := DecodeBytes(buf.Bytes()); err != nil {
-						t.Errorf("%s: re-encoded %v trace failed to decode: %v", f.Name(), format, err)
-					}
+				var buf bytes.Buffer
+				if err := tr.Encode(&buf); err != nil {
+					t.Errorf("%s: decoded trace failed to re-encode: %v", f.Name(), err)
+					continue
+				}
+				if again, err := DecodeBytes(buf.Bytes()); err != nil {
+					t.Errorf("%s: re-encoded trace failed to decode: %v", f.Name(), err)
+				} else if !traceBitEqual(tr, again) {
+					t.Errorf("%s: round trip changed the trace", f.Name())
 				}
 			}
 			for name := range want {

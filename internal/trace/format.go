@@ -17,11 +17,14 @@ import (
 //	location: rank, metahost, node, cpu (uvarint), metahost name (string)
 //	sync block: master ranks, flags, 6 measurements (3 × f64 each)
 //	region table: count, then (id, kind, name) per region
-//	event stream: count, then per event a kind byte followed by the
-//	              fields meaningful for that kind
+//	communicators: count, then (id, member ranks) per communicator
+//	event stream: count, then the version's event encoding
 //
 // Strings are uvarint length + bytes. Floats are 8-byte IEEE 754.
-// Signed integers use zig-zag varints.
+// Signed integers use zig-zag varints. Version 2, the columnar block
+// stream of format2.go, is the only one written; version 1 stores each
+// event as a kind byte followed by the fields meaningful for that kind
+// (decodeEvent) and is still read.
 
 var magic = [4]byte{'M', 'S', 'C', 'P'}
 
@@ -246,15 +249,14 @@ func encodeMeasurement(e *encoder, m [3]float64) {
 	e.f64(m[2])
 }
 
-// encodeHeader writes everything before the event stream — magic, the
-// given version byte, location, sync block, region table, communicator
-// definitions — shared by the v1 row encoder and the v2 block encoder
-// (the header layout is byte-identical across versions).
-func (t *Trace) encodeHeader(e *encoder, version byte) error {
+// encodeHeader writes everything before the event stream — magic,
+// version byte, location, sync block, region table, communicator
+// definitions. The layout is the same in both format versions.
+func (t *Trace) encodeHeader(e *encoder) error {
 	if _, err := e.w.Write(magic[:]); err != nil {
 		return err
 	}
-	e.byte(version)
+	e.byte(formatVersion2)
 
 	// Location.
 	e.i64(int64(t.Loc.Rank))
@@ -301,42 +303,6 @@ func (t *Trace) encodeHeader(e *encoder, version byte) error {
 		}
 	}
 	return e.err
-}
-
-// Encode writes the trace to w in the MSCP v1 binary format.
-func (t *Trace) Encode(w io.Writer) error {
-	e := &encoder{w: bufio.NewWriter(w)}
-	if err := t.encodeHeader(e, formatVersion); err != nil {
-		return err
-	}
-
-	// Events.
-	e.u64(uint64(len(t.Events)))
-	for i := range t.Events {
-		ev := &t.Events[i]
-		e.byte(byte(ev.Kind))
-		e.f64(ev.Time)
-		switch ev.Kind {
-		case KindEnter, KindExit:
-			e.u64(uint64(ev.Region))
-		case KindSend, KindRecv:
-			e.i64(int64(ev.Comm))
-			e.i64(int64(ev.Peer))
-			e.i64(int64(ev.Tag))
-			e.i64(ev.Bytes)
-		case KindCollExit:
-			e.i64(int64(ev.Comm))
-			e.byte(byte(ev.Coll))
-			e.i64(int64(ev.Root))
-			e.i64(ev.Bytes)
-		default:
-			return fmt.Errorf("trace: cannot encode event of kind %d", ev.Kind)
-		}
-	}
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
 }
 
 // Decode reads one trace from r. It fails with ErrBadMagic on foreign

@@ -10,10 +10,10 @@ import (
 )
 
 // MSCP format v2: a columnar, delta-compressed block encoding of the
-// event stream. The header (magic, version byte 2, location, sync
-// block, region table, communicator definitions) is byte-identical to
-// v1 — the region and metahost dictionaries were already hoisted there
-// — followed by:
+// event stream, and the only format Encode writes. The header (magic,
+// version byte 2, location, sync block, region table, communicator
+// definitions) is laid out as in v1 — the region and metahost
+// dictionaries were already hoisted there — followed by:
 //
 //	event count (uvarint) | block size (uvarint) | blocks…
 //
@@ -59,22 +59,18 @@ import (
 // block are read in place from a single contiguous slice of the
 // backing file image.
 
-// Format selects an on-disk trace encoding.
+// Format identifies an on-disk trace encoding, as sniffed by FormatOf.
 type Format uint8
 
-// Supported formats. The zero value means "default", which resolves to
-// FormatV2 (the columnar encoding) everywhere a Format is consumed.
+// Known formats. Both decode; Encode writes FormatV2.
 const (
-	FormatDefault Format = 0
-	FormatV1      Format = 1
-	FormatV2      Format = 2
+	FormatV1 Format = 1
+	FormatV2 Format = 2
 )
 
 // String names the format.
 func (f Format) String() string {
 	switch f {
-	case FormatDefault:
-		return "default"
 	case FormatV1:
 		return "v1"
 	case FormatV2:
@@ -82,20 +78,6 @@ func (f Format) String() string {
 	default:
 		return fmt.Sprintf("Format(%d)", uint8(f))
 	}
-}
-
-// ParseFormat maps the CLI spellings "v1"/"1" and "v2"/"2" (and "" for
-// the default) to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "":
-		return FormatDefault, nil
-	case "v1", "1":
-		return FormatV1, nil
-	case "v2", "2":
-		return FormatV2, nil
-	}
-	return 0, fmt.Errorf("trace: unknown format %q (want v1 or v2)", s)
 }
 
 // FormatOf sniffs the format of an encoded trace image from its magic
@@ -123,8 +105,7 @@ func FormatOf(data []byte) (Format, error) {
 const (
 	// defaultBlockSize is the encoder's events-per-block choice: large
 	// enough to amortize the framing and keep the column loops hot,
-	// small enough that a streaming decoder buffers little and a
-	// bounded-memory replay window stays fine-grained.
+	// small enough that a streaming decoder buffers little.
 	defaultBlockSize = 4096
 	// maxBlockSize bounds the decoder's scratch and the caller's block
 	// buffer against hostile headers.
@@ -138,29 +119,16 @@ const (
 	v2ColumnCount = 8
 )
 
-// EncodeV2 writes the trace to w in the MSCP v2 columnar block format
+// Encode writes the trace to w in the MSCP v2 columnar block format
 // with the default block size.
-func (t *Trace) EncodeV2(w io.Writer) error { return t.encodeV2(w, defaultBlockSize) }
-
-// EncodeFormat writes the trace to w in the requested format;
-// FormatDefault resolves to v2.
-func (t *Trace) EncodeFormat(w io.Writer, f Format) error {
-	switch f {
-	case FormatV1:
-		return t.Encode(w)
-	case FormatDefault, FormatV2:
-		return t.EncodeV2(w)
-	default:
-		return fmt.Errorf("trace: cannot encode unknown format %d", uint8(f))
-	}
-}
+func (t *Trace) Encode(w io.Writer) error { return t.encodeV2(w, defaultBlockSize) }
 
 func (t *Trace) encodeV2(w io.Writer, blockSize int) error {
 	if blockSize < 1 || blockSize > maxBlockSize {
 		return fmt.Errorf("trace: block size %d out of range [1, %d]", blockSize, maxBlockSize)
 	}
 	e := &encoder{w: bufio.NewWriter(w)}
-	if err := t.encodeHeader(e, formatVersion2); err != nil {
+	if err := t.encodeHeader(e); err != nil {
 		return err
 	}
 	e.u64(uint64(len(t.Events)))
@@ -322,11 +290,11 @@ func decodeV2BlockSize(d *decoder) (int, error) {
 // chunk decoder treats as "feed me more"; once the whole payload is
 // present every failure inside it is hard corruption.
 //
-// This is the hottest loop of archive ingestion (the zero-alloc gate
-// in script/check.sh sits on top of it): the column directory is
-// resolved into one cursor per column up front, then a single fused
-// pass decodes each event with an inlined one-byte varint fast path
-// per populated field and one struct store.
+// This is the per-block hot path of both DecodeBytes and ChunkDecoder
+// (the zero-alloc gate in script/check.sh sits on top of it): the
+// column directory is resolved into one cursor per column up front,
+// then a single fused pass decodes each event with an inlined one-byte
+// varint fast path per populated field and one struct store.
 func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
 	plen := d.u64()
 	if d.err != nil {
@@ -530,9 +498,8 @@ func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
 }
 
 // decodeV2Events decodes the v2 block stream following the header into
-// t.Events. Shared by DecodeBytesInterned for one-shot decodes; the
-// resumable path lives in ChunkDecoder and the block-at-a-time path in
-// BlockReader.
+// t.Events for DecodeBytesInterned; the resumable path lives in
+// ChunkDecoder.
 func decodeV2Events(d *decoder, t *Trace, ne uint64) error {
 	if !d.checkCount("event", ne, minEventBytesV2, maxEventCount) {
 		return d.err
@@ -552,87 +519,4 @@ func decodeV2Events(d *decoder, t *Trace, ne uint64) error {
 		idx += n
 	}
 	return nil
-}
-
-// BlockReader decodes a v2 trace image block by block: the header is
-// decoded eagerly, then each Next call materializes one block of
-// events into a caller-owned buffer. Next performs no allocations —
-// the replay hot path and the zero-alloc gate in script/check.sh
-// depend on that.
-type BlockReader struct {
-	d       decoder
-	t       *Trace
-	total   int
-	bs      int
-	start   int // byte offset of the first block, for Reset
-	decoded int
-}
-
-// NewBlockReader decodes the header of a v2 trace image and returns a
-// reader positioned at the first event block. Strings are interned
-// through in when non-nil. v1 images are rejected: the row stream has
-// no block structure to iterate (use DecodeBytesInterned instead).
-func NewBlockReader(data []byte, in *Interner) (*BlockReader, error) {
-	r := &BlockReader{d: decoder{data: data, intern: in}}
-	t, ne, err := decodeHeader(&r.d)
-	if err != nil {
-		return nil, err
-	}
-	if r.d.version != formatVersion2 {
-		return nil, fmt.Errorf("trace: BlockReader wants format v%d, image is v%d",
-			formatVersion2, r.d.version)
-	}
-	if !r.d.checkCount("event", ne, minEventBytesV2, maxEventCount) {
-		return nil, r.d.err
-	}
-	bs, err := decodeV2BlockSize(&r.d)
-	if err != nil {
-		return nil, err
-	}
-	r.t, r.total, r.bs = t, int(ne), bs
-	r.start = r.d.pos
-	return r, nil
-}
-
-// Reset rewinds the reader to the first event block without
-// reallocating, so one reader can iterate the same image repeatedly.
-func (r *BlockReader) Reset() {
-	r.d.pos = r.start
-	r.d.err = nil
-	r.decoded = 0
-}
-
-// Trace returns the decoded header: location, sync data, region table,
-// and communicator definitions, with a nil event slice.
-func (r *BlockReader) Trace() *Trace { return r.t }
-
-// Total returns the declared event count of the stream.
-func (r *BlockReader) Total() int { return r.total }
-
-// BlockSize returns the encoder's events-per-block choice; a buffer of
-// this length accommodates any block Next produces.
-func (r *BlockReader) BlockSize() int { return r.bs }
-
-// Trailing returns the number of unconsumed bytes past the reader's
-// position. Once Next has returned io.EOF, a non-zero result means the
-// image carries trailing garbage after its last block — the fault the
-// one-shot decoder rejects eagerly and a lazy consumer must check at
-// end of iteration.
-func (r *BlockReader) Trailing() int { return len(r.d.data) - r.d.pos }
-
-// Next decodes the next block into dst and returns the number of
-// events written, or io.EOF once every declared event was decoded.
-func (r *BlockReader) Next(dst []Event) (int, error) {
-	if r.decoded >= r.total {
-		return 0, io.EOF
-	}
-	n, err := decodeV2Block(&r.d, dst, r.bs)
-	if err != nil {
-		return 0, err
-	}
-	r.decoded += n
-	if r.decoded > r.total {
-		return 0, fmt.Errorf("trace: blocks hold more events than the declared count %d", r.total)
-	}
-	return n, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -101,30 +102,43 @@ func TestV2RoundTripOddBlockSizes(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1 pins the formats to the same model: any trace must
-// decode identically from its v1 and v2 encodings.
+// synthV1Image is the v1 image of synthTrace(42, 500), written by the
+// v1 encoder before it was retired and never regenerated.
+const synthV1Image = "testdata/synth42x500.v1.mscp"
+
+// TestV2MatchesV1 pins the formats to the same model: every checked-in
+// v1 image must decode to the same trace as the v2 encoding of its
+// source. On the 500-event image v2 must also be the smaller encoding.
 func TestV2MatchesV1(t *testing.T) {
-	tr := synthTrace(42, 500)
-	var v1, v2 bytes.Buffer
-	if err := tr.EncodeFormat(&v1, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeFormat(&v2, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := DecodeBytes(v1.Bytes())
+	synth, err := os.ReadFile(synthV1Image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := DecodeBytes(v2.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d1, d2) {
-		t.Fatal("v1 and v2 decodes of the same trace differ")
-	}
-	if v2.Len() >= v1.Len() {
-		t.Errorf("v2 image (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), v1.Len())
+	names := append(append([]string(nil), frozenV1...), synthV1Image)
+	images := append(frozenV1Seeds(t), synth)
+	sources := append(seedTraces(), synthTrace(42, 500))
+	for i, v1 := range images {
+		var v2 bytes.Buffer
+		if err := sources[i].Encode(&v2); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := FormatOf(v1); err != nil || f != FormatV1 {
+			t.Fatalf("%s: FormatOf = %v, %v; want v1", names[i], f, err)
+		}
+		d1, err := DecodeBytes(v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d2, err := DecodeBytes(v2.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d1, d2) {
+			t.Errorf("%s: v1 and v2 decodes of the same trace differ", names[i])
+		}
+		if names[i] == synthV1Image && v2.Len() >= len(v1) {
+			t.Errorf("v2 image (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), len(v1))
+		}
 	}
 }
 
@@ -150,15 +164,11 @@ func TestV2TimeBitExact(t *testing.T) {
 }
 
 func TestFormatOf(t *testing.T) {
-	tr := synthTrace(1, 10)
-	var v1, v2 bytes.Buffer
-	if err := tr.Encode(&v1); err != nil {
+	var v2 bytes.Buffer
+	if err := synthTrace(1, 10).Encode(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.EncodeV2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := FormatOf(v1.Bytes()); err != nil || f != FormatV1 {
+	if f, err := FormatOf(frozenV1Seeds(t)[0]); err != nil || f != FormatV1 {
 		t.Errorf("FormatOf(v1) = %v, %v", f, err)
 	}
 	if f, err := FormatOf(v2.Bytes()); err != nil || f != FormatV2 {
@@ -175,77 +185,19 @@ func TestFormatOf(t *testing.T) {
 	}
 }
 
-func TestParseFormat(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Format
-		ok   bool
-	}{
-		{"", FormatDefault, true}, {"v1", FormatV1, true}, {"1", FormatV1, true},
-		{"v2", FormatV2, true}, {"2", FormatV2, true}, {"v3", 0, false}, {"junk", 0, false},
-	} {
-		got, err := ParseFormat(tc.in)
-		if tc.ok != (err == nil) || got != tc.want {
-			t.Errorf("ParseFormat(%q) = %v, %v", tc.in, got, err)
-		}
+// TestV2BlockRejectsSmallBuffer: a block holding more events than the
+// destination has room for is an error, not an overrun — the check
+// that stops a one-shot decode whose blocks exceed the declared count.
+func TestV2BlockRejectsSmallBuffer(t *testing.T) {
+	d := &decoder{data: encodeV2Bytes(t, synthTrace(5, 100), 64)}
+	if _, _, err := decodeHeader(d); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestBlockReader(t *testing.T) {
-	tr := synthTrace(5, 2500)
-	data := encodeV2Bytes(t, tr, 512)
-	r, err := NewBlockReader(data, NewInterner())
+	bs, err := decodeV2BlockSize(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Total() != len(tr.Events) {
-		t.Fatalf("Total = %d, want %d", r.Total(), len(tr.Events))
-	}
-	if r.BlockSize() != 512 {
-		t.Fatalf("BlockSize = %d, want 512", r.BlockSize())
-	}
-	if got := r.Trace(); got.Loc != tr.Loc || len(got.Events) != 0 {
-		t.Fatal("header trace wrong or carries events")
-	}
-	buf := make([]Event, r.BlockSize())
-	var all []Event
-	for {
-		n, err := r.Next(buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, buf[:n]...)
-	}
-	if !reflect.DeepEqual(all, tr.Events) {
-		t.Fatal("block-at-a-time decode differs from the encoded events")
-	}
-	// EOF is sticky.
-	if _, err := r.Next(buf); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v", err)
-	}
-}
-
-func TestBlockReaderRejectsV1(t *testing.T) {
-	tr := synthTrace(5, 10)
-	var v1 bytes.Buffer
-	if err := tr.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewBlockReader(v1.Bytes(), nil); err == nil {
-		t.Fatal("v1 image accepted")
-	}
-}
-
-func TestBlockReaderSmallBuffer(t *testing.T) {
-	tr := synthTrace(5, 100)
-	r, err := NewBlockReader(encodeV2Bytes(t, tr, 64), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(make([]Event, 10)); err == nil {
+	if _, err := decodeV2Block(d, make([]Event, 10), bs); err == nil {
 		t.Fatal("undersized buffer accepted")
 	}
 }
@@ -292,73 +244,38 @@ func TestV2RejectsOversizedBlockSize(t *testing.T) {
 	}
 }
 
-func TestEncodeFormatUnknown(t *testing.T) {
-	tr := synthTrace(11, 5)
-	if err := tr.EncodeFormat(io.Discard, Format(9)); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-}
-
 // BenchmarkV2BlockDecode is the allocation contract behind the
-// check.sh gate: after the first block warms the scratch, BlockReader
-// must not allocate per block. One iteration decodes one block.
+// check.sh gate: decodeV2Block, the per-block hot path of both
+// DecodeBytes and ChunkDecoder, must not allocate per block. One
+// iteration decodes one block into a caller-owned buffer.
 func BenchmarkV2BlockDecode(b *testing.B) {
-	tr := synthTrace(1, 100000)
 	var buf bytes.Buffer
-	if err := tr.EncodeV2(&buf); err != nil {
+	if err := synthTrace(1, 100000).Encode(&buf); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
-	r, err := NewBlockReader(data, NewInterner())
+	d := &decoder{data: buf.Bytes(), intern: NewInterner()}
+	_, ne, err := decodeHeader(d)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]Event, r.BlockSize())
-	// Warm the scratch outside the timed region.
-	if _, err := r.Next(dst); err != nil {
+	bs, err := decodeV2BlockSize(d)
+	if err != nil {
 		b.Fatal(err)
 	}
-	r.Reset()
+	start := d.pos
+	dst := make([]Event, bs)
 	b.SetBytes(int64(defaultBlockSize * 16)) // approximate decoded bytes per block
 	b.ReportAllocs()
 	b.ResetTimer()
+	decoded := 0
 	for i := 0; i < b.N; i++ {
-		n, err := r.Next(dst)
-		if err == io.EOF {
-			r.Reset()
-			continue
+		if decoded == int(ne) {
+			d.pos, decoded = start, 0
 		}
+		n, err := decodeV2Block(d, dst, bs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = n
-	}
-}
-
-func TestBlockReaderReset(t *testing.T) {
-	tr := synthTrace(5, 300)
-	r, err := NewBlockReader(encodeV2Bytes(t, tr, 64), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]Event, r.BlockSize())
-	read := func() []Event {
-		var all []Event
-		for {
-			n, err := r.Next(buf)
-			if err == io.EOF {
-				return all
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, buf[:n]...)
-		}
-	}
-	first := read()
-	r.Reset()
-	second := read()
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("second pass after Reset differs from the first")
+		decoded += n
 	}
 }

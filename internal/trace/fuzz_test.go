@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -36,20 +35,6 @@ func seedTraces() []*Trace {
 	}
 }
 
-// encodedSeeds returns the seed traces in the v1 row encoding.
-func encodedSeeds(t testing.TB) [][]byte {
-	t.Helper()
-	var out [][]byte
-	for _, tr := range seedTraces() {
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, buf.Bytes())
-	}
-	return out
-}
-
 // encodedV2Seeds returns the seed traces in the v2 block encoding, with
 // a deliberately tiny block size on the last one so the corpus carries
 // a multi-block image.
@@ -71,25 +56,12 @@ func encodedV2Seeds(t testing.TB) [][]byte {
 	return out
 }
 
-// encodeV1Bytes re-encodes tr in the v1 format. The fuzz targets judge
-// trace equality by comparing these bytes: the encoding is canonical,
-// and byte comparison stays exact on NaN time stamps, which defeat
-// reflect.DeepEqual.
-func encodeV1Bytes(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzDecode feeds arbitrary bytes to the slice decoder. Whatever the
 // input, Decode must return cleanly — no panics, no runaway
 // allocations from corrupt headers — and anything it accepts must
 // survive a re-encode/re-decode round trip.
 func FuzzDecode(f *testing.F) {
-	for _, seed := range encodedSeeds(f) {
+	for _, seed := range frozenV1Seeds(f) {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
@@ -123,70 +95,119 @@ func eventBitEqual(a, b Event) bool {
 		a.Tag == b.Tag && a.Bytes == b.Bytes && a.Coll == b.Coll && a.Root == b.Root
 }
 
+// traceBitEqual compares two traces field by field, with bit-exact
+// float comparison so that NaN time stamps and offsets — which defeat
+// reflect.DeepEqual — still compare equal to themselves. A nil and an
+// empty slice are equal.
+func traceBitEqual(a, b *Trace) bool {
+	if a.Loc != b.Loc || len(a.Regions) != len(b.Regions) ||
+		len(a.Comms) != len(b.Comms) || len(a.Events) != len(b.Events) {
+		return false
+	}
+	sa, sb := &a.Sync, &b.Sync
+	if sa.GlobalMasterRank != sb.GlobalMasterRank || sa.LocalMasterRank != sb.LocalMasterRank ||
+		sa.SharedNodeClock != sb.SharedNodeClock {
+		return false
+	}
+	ma := []vclock.Measurement{sa.FlatStart, sa.FlatEnd, sa.LocalStart, sa.LocalEnd, sa.MasterStart, sa.MasterEnd}
+	mb := []vclock.Measurement{sb.FlatStart, sb.FlatEnd, sb.LocalStart, sb.LocalEnd, sb.MasterStart, sb.MasterEnd}
+	for i := range ma {
+		for _, p := range [][2]float64{{ma[i].Local, mb[i].Local}, {ma[i].Offset, mb[i].Offset}, {ma[i].Err, mb[i].Err}} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+				return false
+			}
+		}
+	}
+	for i := range a.Regions {
+		if a.Regions[i] != b.Regions[i] {
+			return false
+		}
+	}
+	for i := range a.Comms {
+		ca, cb := a.Comms[i], b.Comms[i]
+		if ca.ID != cb.ID || len(ca.Ranks) != len(cb.Ranks) {
+			return false
+		}
+		for j := range ca.Ranks {
+			if ca.Ranks[j] != cb.Ranks[j] {
+				return false
+			}
+		}
+	}
+	for i := range a.Events {
+		if !eventBitEqual(a.Events[i], b.Events[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeInTwo feeds data to a ChunkDecoder in two pieces split at
+// offset split and returns the finished trace.
+func decodeInTwo(data []byte, split int) (*Trace, error) {
+	c := NewChunkDecoder(nil)
+	if _, err := c.Feed(data[:split]); err != nil {
+		return nil, err
+	}
+	if _, err := c.Feed(data[split:]); err != nil {
+		return nil, err
+	}
+	return c.Finish()
+}
+
 // FuzzDecodeV2 hammers the columnar block decoder: arbitrary bytes must
 // decode cleanly or fail cleanly; anything accepted must survive a v2
-// re-encode round trip; and on v2 images the block-at-a-time reader
-// must agree event for event with the one-shot decode.
+// re-encode round trip; and the chunked decoder, fed the input in two
+// pieces split at an input-derived offset, must agree with the one-shot
+// decode — rejecting what it rejects, and returning the identical trace
+// whenever it accepts (it may reject more: it validates as it decodes
+// and refuses trailing bytes).
 func FuzzDecodeV2(f *testing.F) {
 	for _, seed := range encodedV2Seeds(f) {
 		f.Add(seed)
 	}
 	f.Add([]byte("MSCP\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		split := 0
+		if len(data) > 0 {
+			split = int(data[len(data)-1]) * len(data) / 256
+		}
+		chunked, cerr := decodeInTwo(data, split)
 		tr, err := DecodeBytes(data)
 		if err != nil {
+			if cerr == nil {
+				t.Fatalf("chunked decode accepted an image the one-shot decode rejects: %v", err)
+			}
 			return
 		}
 		var v2 bytes.Buffer
-		if err := tr.EncodeV2(&v2); err != nil {
+		if err := tr.Encode(&v2); err != nil {
 			t.Fatalf("decoded trace failed to re-encode as v2: %v", err)
 		}
 		again, err := DecodeBytes(v2.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded v2 trace failed to decode: %v", err)
 		}
-		if !bytes.Equal(encodeV1Bytes(t, tr), encodeV1Bytes(t, again)) {
+		if !traceBitEqual(tr, again) {
 			t.Fatal("v2 round trip changed the trace")
 		}
-		if fv, _ := FormatOf(data); fv != FormatV2 {
+		if cerr != nil {
+			if tr.Validate() == nil && bytes.Equal(v2.Bytes(), data) {
+				t.Fatalf("chunked decode split at %d rejected a valid canonical image: %v", split, cerr)
+			}
 			return
 		}
-		r, err := NewBlockReader(data, nil)
-		if err != nil {
-			t.Fatalf("one-shot decode accepted a v2 image BlockReader rejects: %v", err)
-		}
-		buf := make([]Event, r.BlockSize())
-		total := 0
-		for {
-			n, err := r.Next(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("block %d starting at event %d: %v", total/r.BlockSize(), total, err)
-			}
-			if total+n > len(tr.Events) {
-				t.Fatalf("blocks yielded %d events, one-shot decode %d", total+n, len(tr.Events))
-			}
-			for i := 0; i < n; i++ {
-				if !eventBitEqual(buf[i], tr.Events[total+i]) {
-					t.Fatalf("event %d differs between block and one-shot decode", total+i)
-				}
-			}
-			total += n
-		}
-		if total != len(tr.Events) {
-			t.Fatalf("blocks yielded %d events, one-shot decode %d", total, len(tr.Events))
+		if !traceBitEqual(chunked, tr) {
+			t.Fatalf("chunked decode split at %d differs from the one-shot decode", split)
 		}
 	})
 }
 
-// FuzzDecodeDifferential cross-checks the two encoders: any trace the
-// decoder accepts, in either format, must re-encode as v2 and decode
-// back to the identical trace — judged by byte-identical v1
-// re-encodings, so the check is exact even on NaN time stamps.
+// FuzzDecodeDifferential cross-checks the decoders against the encoder:
+// any trace the decoder accepts, in either format, must encode as v2
+// and decode back to the identical trace, compared field by field.
 func FuzzDecodeDifferential(f *testing.F) {
-	for _, seed := range encodedSeeds(f) {
+	for _, seed := range frozenV1Seeds(f) {
 		f.Add(seed)
 	}
 	for _, seed := range encodedV2Seeds(f) {
@@ -197,17 +218,16 @@ func FuzzDecodeDifferential(f *testing.F) {
 		if err != nil {
 			return
 		}
-		ref := encodeV1Bytes(t, tr)
 		var v2 bytes.Buffer
-		if err := tr.EncodeV2(&v2); err != nil {
+		if err := tr.Encode(&v2); err != nil {
 			t.Fatalf("accepted trace failed to encode as v2: %v", err)
 		}
 		got, err := DecodeBytes(v2.Bytes())
 		if err != nil {
 			t.Fatalf("v2 image of an accepted trace failed to decode: %v", err)
 		}
-		if !bytes.Equal(ref, encodeV1Bytes(t, got)) {
-			t.Fatal("v1 → v2 → decode → v1 is not the identity")
+		if !traceBitEqual(tr, got) {
+			t.Fatal("decode → v2 encode → decode is not the identity")
 		}
 	})
 }
@@ -229,7 +249,7 @@ func putUvarintAt(data []byte, off int, v uint64) []byte {
 // valid image to a value the remaining bytes cannot satisfy; the
 // decoder must fail before allocating the declared amount.
 func TestDecodeRejectsOversizedCounts(t *testing.T) {
-	img := encodedSeeds(t)[0]
+	img := frozenV1Seeds(t)[0]
 
 	// Locate the section offsets by re-decoding with a tracking decoder.
 	d := &decoder{data: img}
@@ -269,13 +289,9 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 // after an inflated event count: the declared count must be validated
 // against the remaining bytes before make([]Event, ne) runs.
 func TestDecodeRejectsOversizedEventCount(t *testing.T) {
-	// Build a trace with no regions/comms/events, so the event count is
-	// the last varint of the image.
-	var buf bytes.Buffer
-	if err := (&Trace{Loc: Location{MetahostName: "x"}}).Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
+	// The v1 image of a trace with no regions/comms/events: the event
+	// count is the last varint of the image.
+	img := frozenV1Seeds(t)[1]
 	eventCountOff := len(img) - 1 // trailing zero varint
 	bad := putUvarintAt(img, eventCountOff, 1<<27)
 	if _, err := DecodeBytes(bad); err == nil ||
@@ -292,7 +308,7 @@ func TestDecodeRejectsOversizedEventCount(t *testing.T) {
 // TestDecodeBytesInterned checks that two decodes through one interner
 // share region-name storage, and that a nil interner still works.
 func TestDecodeBytesInterned(t *testing.T) {
-	img := encodedSeeds(t)[0]
+	img := frozenV1Seeds(t)[0]
 	in := NewInterner()
 	a, err := DecodeBytesInterned(img, in)
 	if err != nil {

@@ -75,29 +75,34 @@ func TestDecodeRejectsForeignData(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTrace().Encode(&buf); err != nil {
+// sampleImages returns the sample trace in both formats: its checked-in
+// v1 image and its v2 encoding.
+func sampleImages(t *testing.T) map[string][]byte {
+	t.Helper()
+	var v2 bytes.Buffer
+	if err := sampleTrace().Encode(&v2); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	// Every strict prefix must fail loudly, never crash or succeed.
-	for cut := 1; cut < len(full); cut += 7 {
-		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(full))
+	return map[string][]byte{"v1": frozenV1Seeds(t)[0], "v2": v2.Bytes()}
+}
+
+func TestDecodeRejectsTruncation(t *testing.T) {
+	for name, full := range sampleImages(t) {
+		// Every strict prefix must fail loudly, never crash or succeed.
+		for cut := 1; cut < len(full); cut++ {
+			if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
+				t.Fatalf("%s: truncation at %d/%d decoded successfully", name, cut, len(full))
+			}
 		}
 	}
 }
 
 func TestDecodeRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTrace().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[4] = 99 // version byte follows the 4-byte magic
-	if _, err := Decode(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("wrong version accepted: %v", err)
+	for name, b := range sampleImages(t) {
+		b[4] = 99 // version byte follows the 4-byte magic
+		if _, err := Decode(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("%s: wrong version accepted: %v", name, err)
+		}
 	}
 }
 

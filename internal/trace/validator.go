@@ -2,12 +2,11 @@ package trace
 
 import "fmt"
 
-// StreamValidator applies (*Trace).Validate's per-event checks
+// streamValidator applies (*Trace).Validate's per-event checks
 // incrementally, with identical messages, so a fault caught
 // post-mortem is caught at the same event when a trace is decoded as
-// a stream of chunks or blocks. ChunkDecoder and the replay layer's
-// lazy block logs share this one implementation.
-type StreamValidator struct {
+// a stream of chunks (ChunkDecoder).
+type streamValidator struct {
 	loc      Location
 	known    map[RegionID]bool
 	depth    int
@@ -15,20 +14,20 @@ type StreamValidator struct {
 	n        int
 }
 
-// NewStreamValidator prepares a validator for a trace with the given
+// newStreamValidator prepares a validator for a trace with the given
 // header: the location names errors, the region table defines which
 // Enter targets are known. Events themselves need not be present.
-func NewStreamValidator(t *Trace) *StreamValidator {
+func newStreamValidator(t *Trace) *streamValidator {
 	known := make(map[RegionID]bool, len(t.Regions))
 	for _, r := range t.Regions {
 		known[r.ID] = true
 	}
-	return &StreamValidator{loc: t.Loc, known: known}
+	return &streamValidator{loc: t.Loc, known: known}
 }
 
 // Event checks the next event of the stream. Errors are fatal to the
 // stream; callers must not continue validating past the first one.
-func (v *StreamValidator) Event(ev *Event) error {
+func (v *streamValidator) Event(ev *Event) error {
 	i := v.n
 	if i > 0 && ev.Time < v.lastTime {
 		return fmt.Errorf("trace %v: event %d time %g before predecessor %g",
@@ -59,7 +58,7 @@ func (v *StreamValidator) Event(ev *Event) error {
 
 // Close checks the end-of-stream invariant: every entered region was
 // exited.
-func (v *StreamValidator) Close() error {
+func (v *streamValidator) Close() error {
 	if v.depth != 0 {
 		return fmt.Errorf("trace %v: %d unclosed region(s) at end of trace", v.loc, v.depth)
 	}

@@ -24,7 +24,6 @@
 package metascope
 
 import (
-	"context"
 	"fmt"
 
 	"metascope/internal/archive"
@@ -96,10 +95,6 @@ type Experiment struct {
 	// Obs receives metrics, phase timings, and logs for this
 	// experiment; nil uses the process-wide obs.Default recorder.
 	Obs *obs.Recorder
-	// TraceFormat selects the trace files' on-disk encoding
-	// (trace.FormatV1 or trace.FormatV2); the zero value picks the
-	// current default, v2. Analysis autodetects either.
-	TraceFormat trace.Format
 
 	eng    *sim.Engine
 	clocks *vclock.Set
@@ -206,12 +201,11 @@ func (e *Experiment) Run(body func(m *measure.M)) error {
 	rec := e.Recorder()
 	span := rec.Phases.Start("measure")
 	cfg := measure.Config{
-		ArchiveDir:  e.ArchiveDir,
-		Mounts:      e.mounts,
-		Clocks:      e.clocks,
-		PingPongs:   e.PingPongs,
-		Obs:         rec,
-		TraceFormat: e.TraceFormat,
+		ArchiveDir: e.ArchiveDir,
+		Mounts:     e.mounts,
+		Clocks:     e.clocks,
+		PingPongs:  e.PingPongs,
+		Obs:        rec,
 	}
 	_, err := measure.Run(e.world, cfg, body)
 	d := span.End()
@@ -227,14 +221,6 @@ func (e *Experiment) Run(body func(m *measure.M)) error {
 // Traces loads the local trace files back from the archives.
 func (e *Experiment) Traces() ([]*trace.Trace, error) {
 	return replay.LoadArchiveObs(e.mounts, e.Place.MetahostsUsed(), e.ArchiveDir, e.Obs)
-}
-
-// TracesLazy loads the archives header-only: v2 trace files keep their
-// byte images and decode block by block during the analysis sweep
-// (replay.AnalyzeLazy), which bounds analysis memory and moves decode
-// cost off the load path.
-func (e *Experiment) TracesLazy() (*replay.LazyArchive, error) {
-	return replay.LoadArchiveLazyCtx(context.Background(), e.mounts, e.Place.MetahostsUsed(), e.ArchiveDir, e.Obs)
 }
 
 // Analyze runs the parallel replay analysis under the given

@@ -64,10 +64,11 @@ if ! echo "$out" | grep 'BenchmarkFlightDisabled' | grep -q '\b0 allocs/op'; the
 	exit 1
 fi
 
-# The v2 block decoder is the per-event hot path of lazy analysis: a
-# sweep decodes every block into a caller-provided buffer, so the
-# decoder itself must not allocate per call. Gate it exactly like the
-# flight recorder's disabled path.
+# The v2 block decoder is the per-block hot path of both DecodeBytes
+# (archive ingestion) and ChunkDecoder (live uploads): every block is
+# decoded into a caller-provided buffer, so the decoder itself must not
+# allocate per call. Gate it exactly like the flight recorder's
+# disabled path.
 echo "== v2 block decode zero-alloc gate"
 out=$(go test -run '^$' -bench 'BenchmarkV2BlockDecode$' -benchmem -benchtime=10000x ./internal/trace)
 echo "$out" | grep 'BenchmarkV2BlockDecode' || { echo "check: v2 block decode benchmark did not run" >&2; exit 1; }
@@ -105,7 +106,7 @@ go test -race -count=1 -run 'TestScenarioPipelineSmoke' ./internal/scenario
 
 # The phase profile is a deterministic artifact: the same scenario and
 # seed must render byte-identical phase JSON across GOMAXPROCS and
-# trace formats. Pinned by name so a
+# from a v1 archive and its v2 re-encode. Pinned by name so a
 # fold-order regression in the phase accumulator fails the gate with
 # an unambiguous label.
 echo "== phase profile determinism"
